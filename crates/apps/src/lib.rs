@@ -29,6 +29,7 @@ pub mod canary;
 pub mod estimator;
 pub mod imagej;
 pub mod jmonkey;
+pub mod json;
 pub mod meta;
 pub mod qos;
 pub mod raytracer;

@@ -37,8 +37,9 @@
 //!   published, i.e. until trials `0 .. (e−1)·E` have drained. It only
 //!   ever waits on indices strictly below `i`, which the engine guarantees
 //!   are already claimed — so the wait cannot deadlock, and the one-epoch
-//!   lag keeps a 2·E-trial pipelining window open. The serial path never
-//!   waits at all.
+//!   lag keeps a 2·E-trial pipelining window open. A one-thread campaign
+//!   never waits at all: each trial drains before the next spec is asked
+//!   for.
 //!
 //! The scheduler's seed use keeps the established partition: evaluation
 //! trials run on `FAULT_SEED_BASE ^ run` (bits 63..62 = `00`), profiling
@@ -67,8 +68,8 @@ use crate::harness::{self, FAULT_SEED_BASE, TUNER_SEED_BASE};
 use crate::qos::Output;
 use crate::recovery;
 use crate::trials::{
-    run_campaign_from, run_campaign_streamed, CampaignOptions, CampaignReport, CampaignSummary,
-    SpecFn, SpecSource, TrialResult, TrialSink, TrialSpec, VecSink,
+    run_campaign, run_campaign_streamed, CampaignOptions, CampaignReport, CampaignSummary, SpecFn,
+    SpecSource, TrialResult, TrialSink, TrialSpec, VecSink,
 };
 use crate::App;
 use enerj_hw::config::{HwConfig, Level};
@@ -254,7 +255,7 @@ pub fn profile_workload(
             Arc::clone(&workload.references[a]),
         )
     });
-    let report = run_campaign_from(&source, opts);
+    let report = run_campaign(&source, opts);
     let mut profiles = Vec::with_capacity(napps);
     for a in 0..napps {
         let mut error = [0.0f64; 4];

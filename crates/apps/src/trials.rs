@@ -3,14 +3,14 @@
 //! Every figure in the paper's evaluation is a *campaign*: a batch of
 //! independent simulated runs, each fully determined by an application, a
 //! hardware configuration and a fault seed. This module runs such batches
-//! across worker threads ([`run_campaign`]) with two guarantees the naive
-//! serial loops could not give:
+//! across worker threads with two guarantees the naive serial loops could
+//! not give:
 //!
 //! * **Determinism.** Each trial's seed is fixed up front in its
 //!   [`TrialSpec`], every trial builds its own [`Runtime`](enerj_core::Runtime)
 //!   (fault PRNG state is per-run, never shared), and aggregation happens
-//!   in trial-index order after all workers finish. Results are therefore
-//!   bit-identical for any thread count, including the serial path.
+//!   in trial-index order. Results are therefore bit-identical for any
+//!   thread count, one thread included.
 //! * **Crash isolation.** A fault-injected run can panic — an endorsed
 //!   index goes out of bounds, a corrupted loop bound overflows. The paper
 //!   treats a crashed run as producing worst-case output, so each trial
@@ -27,13 +27,14 @@
 //! recovery-enabled campaigns keep the bit-identical-at-any-thread-count
 //! guarantee.
 //!
-//! Campaigns run on a *streaming throughput engine* built for
-//! million-trial scale:
+//! Every campaign runs on one *streaming throughput engine*
+//! ([`run_campaign_streamed`]) built for million-trial scale;
+//! [`run_campaign`] is the same engine with an in-memory sink:
 //!
 //! * **Lazy specs.** A campaign's trials come from a [`SpecSource`] — an
-//!   indexed generator ([`SpecFn`]) or a plain slice — so protocol-level
-//!   campaigns ([`run_level_campaign`], the tuner) never materialize a
-//!   spec vector; spec memory is O(1) per worker.
+//!   indexed generator ([`SpecFn`], the Figure 5 [`LevelGrid`]) or a plain
+//!   slice — so protocol-level campaigns never materialize a spec vector;
+//!   spec memory is O(1) per worker.
 //! * **Chunked work stealing.** Workers claim contiguous blocks of trial
 //!   indices with one atomic op per chunk ([`CampaignOptions::chunk`],
 //!   default auto) instead of one per trial.
@@ -44,7 +45,7 @@
 //!   all ([`NullSink`]) for campaign-scale runs — so peak result memory is
 //!   O(threads × chunk) instead of O(trials). Aggregates accumulate at the
 //!   drain point, in index order, which keeps every total bit-identical to
-//!   the serial loop; exact integer [`EnergyQuanta`] totals would be
+//!   a serial loop; exact integer [`EnergyQuanta`] totals would be
 //!   order-independent anyway.
 //! * **Per-worker scratch reuse.** Each worker owns a
 //!   [`harness::Workspace`] threaded through the measurement, so apps stop
@@ -69,6 +70,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::harness::{self, FAULT_SEED_BASE};
+use crate::json::{json_f64, json_string};
 use crate::qos::{output_error, Output};
 use crate::recovery;
 use crate::App;
@@ -249,7 +251,7 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Mean output error over all trials, summed in trial-index order
-    /// (bit-identical to the serial loop). Empty campaigns score 0.0.
+    /// (bit-identical to a serial loop). Empty campaigns score 0.0.
     pub fn mean_error(&self) -> f64 {
         mean_in_order(self.trials.iter())
     }
@@ -456,39 +458,6 @@ fn mean_in_order<'a>(trials: impl Iterator<Item = &'a TrialResult>) -> f64 {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON has no NaN/Infinity literals; clamp them to the error scale's ends.
-fn json_f64(x: f64) -> String {
-    if x.is_nan() {
-        "1.0".to_owned()
-    } else if x.is_infinite() {
-        if x > 0.0 {
-            "1e308".to_owned()
-        } else {
-            "-1e308".to_owned()
-        }
-    } else {
-        format!("{x}")
-    }
-}
-
 fn stats_json(s: &Stats) -> String {
     format!(
         "{{\"int_approx_ops\":{},\"int_precise_ops\":{},\"fp_approx_ops\":{},\
@@ -636,93 +605,21 @@ impl Progress {
     }
 }
 
-/// Runs one trial, catching panics from fault-corrupted executions.
-/// Recovery-enabled specs go through [`run_recovered_trial`] instead.
-/// `ws` is the worker's reusable scratch workspace.
+/// Runs one trial, catching panics from fault-corrupted executions. A
+/// recovery-enabled spec runs under its policy: the recovery runner already
+/// contains app panics and watchdog trips per attempt, so there the
+/// `catch_unwind` only guards against harness bugs (a panicking checker or
+/// QoS metric), scored like a plain crashed trial. `ws` is the worker's
+/// reusable scratch workspace.
 fn run_trial(
     index: usize,
     spec: &TrialSpec,
     log_events: bool,
     ws: &mut harness::Workspace,
 ) -> TrialResult {
-    if let Some(policy) = &spec.recovery {
-        return run_recovered_trial(index, spec, policy, log_events, ws);
-    }
     let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let m = harness::measure_in(&spec.app, spec.cfg, spec.seed, log_events, ws);
-        let error = match &spec.reference {
-            Some(reference) => output_error(spec.app.meta.metric, reference, &m.output),
-            None => 0.0,
-        };
-        (m, error)
-    }));
-    let wall = start.elapsed();
-    match outcome {
-        Ok((m, error)) => TrialResult {
-            index,
-            app: spec.app.meta.name,
-            label: spec.label.clone(),
-            seed: spec.seed,
-            error,
-            output: spec.keep_output.then_some(m.output),
-            stats: m.stats,
-            energy: m.energy,
-            energy_quanta: m.energy_quanta,
-            wall,
-            panic: None,
-            fault_counts: m.fault_counts,
-            events: m.events,
-            attempts: 1,
-            recovered_at_level: None,
-            failure_causes: Vec::new(),
-            recovery_energy_overhead: 0.0,
-            recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
-            scheduled_level: spec.scheduled_level.clone(),
-        },
-        Err(payload) => {
-            let msg = enerj_core::panic_message(payload.as_ref());
-            TrialResult {
-                index,
-                app: spec.app.meta.name,
-                label: spec.label.clone(),
-                seed: spec.seed,
-                // The paper's protocol: a crashed run delivers worst-case
-                // quality and claims no savings over the precise baseline.
-                error: 1.0,
-                output: None,
-                stats: Stats::new(),
-                energy: EnergyBreakdown { instructions: 1.0, sram: 1.0, dram: 1.0, total: 1.0 },
-                energy_quanta: EnergyQuantaBreakdown::ZERO,
-                wall,
-                failure_causes: vec![format!("panic: {msg}")],
-                panic: Some(msg),
-                fault_counts: FaultCounters::new(),
-                events: Vec::new(),
-                attempts: 1,
-                recovered_at_level: None,
-                recovery_energy_overhead: 0.0,
-                recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
-                scheduled_level: spec.scheduled_level.clone(),
-            }
-        }
-    }
-}
-
-/// Runs one trial under its spec's recovery policy. The recovery runner
-/// already contains app panics and watchdog trips per attempt; the outer
-/// `catch_unwind` only guards against harness bugs (a panicking checker or
-/// QoS metric), scored like a plain crashed trial.
-fn run_recovered_trial(
-    index: usize,
-    spec: &TrialSpec,
-    policy: &recovery::Policy,
-    log_events: bool,
-    ws: &mut harness::Workspace,
-) -> TrialResult {
-    let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        recovery::run_with_recovery_in(
+    let outcome = catch_unwind(AssertUnwindSafe(|| match &spec.recovery {
+        Some(policy) => recovery::run_with_recovery_in(
             &spec.app,
             spec.cfg,
             spec.seed,
@@ -730,7 +627,29 @@ fn run_recovered_trial(
             spec.reference.as_deref(),
             log_events,
             ws,
-        )
+        ),
+        None => {
+            let m = harness::measure_in(&spec.app, spec.cfg, spec.seed, log_events, ws);
+            let error = match &spec.reference {
+                Some(reference) => output_error(spec.app.meta.metric, reference, &m.output),
+                None => 0.0,
+            };
+            // A plain trial is a one-attempt run that was never rejected.
+            recovery::Recovered {
+                output: Some(m.output),
+                error,
+                stats: m.stats,
+                energy: m.energy,
+                energy_quanta: m.energy_quanta,
+                fault_counts: m.fault_counts,
+                events: m.events,
+                attempts: 1,
+                recovered_at: None,
+                failure_causes: Vec::new(),
+                recovery_energy_overhead: 0.0,
+                recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
+            }
+        }
     }));
     let wall = start.elapsed();
     match outcome {
@@ -771,6 +690,8 @@ fn run_recovered_trial(
                 app: spec.app.meta.name,
                 label: spec.label.clone(),
                 seed: spec.seed,
+                // The paper's protocol: a crashed run delivers worst-case
+                // quality and claims no savings over the precise baseline.
                 error: 1.0,
                 output: None,
                 stats: Stats::new(),
@@ -959,8 +880,9 @@ pub struct CampaignSummary {
     pub threads: usize,
     /// Chunk size used (after auto-resolution).
     pub chunk: usize,
-    /// High-water mark of results parked in the reorder buffer (0 on the
-    /// serial path, which streams directly). Always ≤ `buffer_capacity`.
+    /// High-water mark of results parked in the reorder buffer (1 at one
+    /// thread, where each result drains as soon as it is parked; 0 for an
+    /// empty campaign). Always ≤ `buffer_capacity`.
     pub peak_buffered: usize,
     /// The reorder buffer's capacity bound: `2 × threads × chunk`.
     pub buffer_capacity: usize,
@@ -1099,6 +1021,10 @@ struct ReorderInner<'a> {
     /// never complete. Set via [`Reorder::poison`], observed by every
     /// blocked or arriving [`Reorder::push`].
     poisoned: bool,
+    /// Inserters blocked on a full window. A drain wakes them only when
+    /// there are any: a wake-up is a syscall, and at one thread — where
+    /// nobody ever waits — it would be one per trial.
+    waiting: usize,
 }
 
 impl Reorder<'_> {
@@ -1113,6 +1039,7 @@ impl Reorder<'_> {
                 sink,
                 sink_error: None,
                 poisoned: false,
+                waiting: 0,
             }),
             space: Condvar::new(),
             capacity,
@@ -1135,7 +1062,9 @@ impl Reorder<'_> {
     fn push(&self, index: usize, result: TrialResult) {
         let mut g = self.inner.lock().expect("unpoisoned reorder buffer");
         while !g.poisoned && index >= g.next_drain + self.capacity {
+            g.waiting += 1;
             g = self.space.wait(g).expect("unpoisoned reorder buffer");
+            g.waiting -= 1;
         }
         assert!(
             !g.poisoned,
@@ -1165,7 +1094,7 @@ impl Reorder<'_> {
             }
             drained = true;
         }
-        if drained {
+        if drained && g.waiting > 0 {
             self.space.notify_all();
         }
     }
@@ -1186,27 +1115,12 @@ impl Drop for PoisonOnUnwind<'_, '_> {
     }
 }
 
-/// Runs every spec, fanning trials across `threads` workers (`0` means
-/// [`default_threads`]). Results and all aggregates are bit-identical for
-/// any thread count.
-pub fn run_campaign(specs: &[TrialSpec], threads: usize) -> CampaignReport {
-    run_campaign_with(specs, &CampaignOptions::with_threads(threads))
-}
-
-/// [`run_campaign`] with explicit [`CampaignOptions`]. Telemetry switches
-/// never change trial outcomes: errors, statistics and energy are
-/// bit-identical for any option combination, thread count and chunk size.
-pub fn run_campaign_with(specs: &[TrialSpec], opts: &CampaignOptions) -> CampaignReport {
-    run_campaign_from(specs, opts)
-}
-
-/// [`run_campaign_with`] over any [`SpecSource`], collecting every trial
-/// in memory. Campaigns too large to hold in memory should go through
-/// [`run_campaign_streamed`] with an [`NdjsonSink`] instead.
-pub fn run_campaign_from<S: SpecSource + ?Sized>(
-    source: &S,
-    opts: &CampaignOptions,
-) -> CampaignReport {
+/// Runs every trial of `source` and collects the results in memory — the
+/// one in-memory entry point. Results and all aggregates are bit-identical
+/// for any option combination, thread count and chunk size. Campaigns too
+/// large to hold in memory should go through [`run_campaign_streamed`]
+/// with an [`NdjsonSink`] instead.
+pub fn run_campaign<S: SpecSource + ?Sized>(source: &S, opts: &CampaignOptions) -> CampaignReport {
     let mut sink = VecSink::default();
     let summary =
         run_campaign_streamed(source, opts, &mut sink).expect("the in-memory sink cannot fail");
@@ -1224,11 +1138,14 @@ pub fn run_campaign_from<S: SpecSource + ?Sized>(
 /// completed results in index order to `sink`, and returns the aggregate
 /// [`CampaignSummary`].
 ///
-/// Peak result memory is bounded by the reorder window (`2 × threads ×
-/// chunk` results), independent of campaign length. All outcomes and
-/// aggregates are bit-identical for any thread count, chunk size and sink —
-/// each trial is a pure function of its spec, and aggregation happens in
-/// index order at the drain point.
+/// There is one worker loop — claim a chunk, run its trials, push each
+/// into the reorder window — and the calling thread runs it as one of the
+/// `threads` workers, so a one-thread campaign spawns nothing. Peak result
+/// memory is bounded by the reorder window (`2 × threads × chunk`
+/// results), independent of campaign length. All outcomes and aggregates
+/// are bit-identical for any thread count, chunk size and sink — each
+/// trial is a pure function of its spec, and aggregation happens in index
+/// order at the drain point.
 ///
 /// # Errors
 ///
@@ -1247,93 +1164,44 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
     let chunk = resolve_chunk(opts.chunk, len, threads);
     let capacity = threads.saturating_mul(chunk).saturating_mul(2).max(chunk + 1);
     let progress = Progress::new(len, opts.progress, start);
-    let log_events = opts.log_events;
-
-    if threads <= 1 {
-        // Serial path: stream straight to the sink, no window needed.
+    let reorder = Reorder::new(sink, capacity);
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        // If this worker dies mid-chunk (harness bug), poison the window so
+        // the other workers fail fast instead of waiting forever on slots
+        // that will never fill.
+        let _poison_guard = PoisonOnUnwind(&reorder);
         let mut ws = harness::Workspace::new();
-        let mut totals = Totals::new();
-        let mut sink_error: Option<std::io::Error> = None;
-        let mut lo = 0usize;
-        while lo < len {
-            // Deadline is checked at chunk claim only, so truncation lands
-            // exactly on a chunk boundary.
+        loop {
+            // Deadline is checked before claiming, so a campaign out of
+            // time truncates at a chunk boundary; chunks already claimed
+            // always run to completion.
             if opts.deadline.is_some_and(|d| start.elapsed() >= d) {
+                break;
+            }
+            // One atomic op claims a whole chunk of indices.
+            let lo = next.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= len {
                 break;
             }
             let hi = (lo + chunk).min(len);
             let mut panics = 0usize;
             for i in lo..hi {
-                let r = run_trial(i, &source.spec(i), log_events, &mut ws);
+                let r = run_trial(i, &source.spec(i), opts.log_events, &mut ws);
                 if r.panicked() {
                     panics += 1;
                 }
-                totals.accept(&r);
-                if sink_error.is_none() {
-                    if let Err(e) = sink.accept(r) {
-                        sink_error = Some(e);
-                    }
-                }
+                reorder.push(i, r);
             }
             progress.tick_chunk(hi - lo, panics);
-            lo = hi;
         }
-        if sink_error.is_none() {
-            if let Err(e) = sink.flush() {
-                sink_error = Some(e);
-            }
-        }
-        return match sink_error {
-            Some(e) => Err(e),
-            None => {
-                let deadline_exceeded = totals.count < len;
-                Ok(totals.into_summary(
-                    start.elapsed(),
-                    threads,
-                    chunk,
-                    0,
-                    capacity,
-                    deadline_exceeded,
-                ))
-            }
-        };
-    }
-
-    let reorder = Reorder::new(sink, capacity);
-    let next = AtomicUsize::new(0);
+    };
+    // The calling thread is the first worker, so one thread spawns nothing.
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // If this worker dies mid-chunk (harness bug), poison the
-                // window so the other workers fail fast instead of waiting
-                // forever on slots that will never fill.
-                let _poison_guard = PoisonOnUnwind(&reorder);
-                let mut ws = harness::Workspace::new();
-                loop {
-                    // Deadline is checked before claiming, so a campaign
-                    // out of time truncates at a chunk boundary; chunks
-                    // already claimed always run to completion.
-                    if opts.deadline.is_some_and(|d| start.elapsed() >= d) {
-                        break;
-                    }
-                    // One atomic op claims a whole chunk of indices.
-                    let lo = next.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= len {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(len);
-                    let mut panics = 0usize;
-                    for i in lo..hi {
-                        let r = run_trial(i, &source.spec(i), log_events, &mut ws);
-                        if r.panicked() {
-                            panics += 1;
-                        }
-                        reorder.push(i, r);
-                    }
-                    progress.tick_chunk(hi - lo, panics);
-                }
-            });
+        for _ in 1..threads {
+            scope.spawn(worker);
         }
+        worker();
     });
     let mut inner = reorder.inner.into_inner().expect("unpoisoned reorder buffer");
     debug_assert!(
@@ -1361,54 +1229,67 @@ pub fn run_campaign_streamed<S: SpecSource + ?Sized>(
     }
 }
 
-/// The Figure 5 protocol as one campaign: per app, a fault-free reference,
-/// then `runs` fault-injection trials at each level (seeds
-/// `FAULT_SEED_BASE ^ i`, labels the level names). References are
-/// themselves collected in a parallel campaign first.
+/// The Figure 5 protocol as a [`SpecSource`]: per app, `runs`
+/// fault-injection trials at each level (seeds `FAULT_SEED_BASE ^ i`,
+/// labels the level names) in the canonical app → level → run order, each
+/// scored against the app's fault-free reference. Specs are generated per
+/// index; only the per-app reference outputs are held.
+pub struct LevelGrid<'a> {
+    apps: &'a [App],
+    levels: &'a [Level],
+    runs: usize,
+    references: Vec<Arc<Output>>,
+}
+
+impl<'a> LevelGrid<'a> {
+    /// The grid over `apps × levels × runs`, with the references collected
+    /// first in a `threads`-worker campaign (`0` means [`default_threads`]).
+    pub fn new(apps: &'a [App], levels: &'a [Level], runs: u64, threads: usize) -> Self {
+        let ref_specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
+        let opts = CampaignOptions::with_threads(threads);
+        let references = run_campaign(ref_specs.as_slice(), &opts)
+            .trials
+            .into_iter()
+            .zip(apps)
+            .map(|(r, app)| {
+                assert!(!r.panicked(), "{}: reference (fault-free) run panicked", app.meta.name);
+                Arc::new(r.output.expect("reference trials keep their output"))
+            })
+            .collect();
+        LevelGrid { apps, levels, runs: runs as usize, references }
+    }
+}
+
+impl SpecSource for LevelGrid<'_> {
+    fn len(&self) -> usize {
+        self.apps.len() * self.levels.len() * self.runs
+    }
+
+    fn spec(&self, index: usize) -> Cow<'_, TrialSpec> {
+        let per_app = self.levels.len() * self.runs;
+        let (a, rem) = (index / per_app, index % per_app);
+        let (l, r) = (rem / self.runs, rem % self.runs);
+        Cow::Owned(TrialSpec::scored(
+            &self.apps[a],
+            self.levels[l].to_string(),
+            HwConfig::for_level(self.levels[l]),
+            FAULT_SEED_BASE ^ r as u64,
+            Arc::clone(&self.references[a]),
+        ))
+    }
+}
+
+/// The Figure 5 campaign: [`LevelGrid`] run on `threads` workers.
 pub fn run_level_campaign(
     apps: &[App],
     levels: &[Level],
     runs: u64,
     threads: usize,
 ) -> CampaignReport {
-    run_level_campaign_with(apps, levels, runs, &CampaignOptions::with_threads(threads))
-}
-
-/// [`run_level_campaign`] with explicit [`CampaignOptions`]; references are
-/// always collected without the fault log (they inject no faults).
-///
-/// Specs are generated lazily per index ([`SpecFn`]) in the canonical
-/// app → level → run order; only the per-app reference outputs are held.
-pub fn run_level_campaign_with(
-    apps: &[App],
-    levels: &[Level],
-    runs: u64,
-    opts: &CampaignOptions,
-) -> CampaignReport {
-    let ref_specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
-    let references = run_campaign(&ref_specs, opts.threads);
-    let refs: Vec<Arc<Output>> = apps
-        .iter()
-        .zip(&references.trials)
-        .map(|(app, r)| {
-            assert!(!r.panicked(), "{}: reference (fault-free) run panicked", app.meta.name);
-            Arc::new(r.output.clone().expect("reference trials keep their output"))
-        })
-        .collect();
-    let per_level = runs as usize;
-    let per_app = levels.len() * per_level;
-    let source = SpecFn::new(apps.len() * per_app, |i| {
-        let (a, rem) = (i / per_app, i % per_app);
-        let (l, r) = (rem / per_level, rem % per_level);
-        TrialSpec::scored(
-            &apps[a],
-            levels[l].to_string(),
-            HwConfig::for_level(levels[l]),
-            FAULT_SEED_BASE ^ r as u64,
-            Arc::clone(&refs[a]),
-        )
-    });
-    run_campaign_from(&source, opts)
+    run_campaign(
+        &LevelGrid::new(apps, levels, runs, threads),
+        &CampaignOptions::with_threads(threads),
+    )
 }
 
 #[cfg(test)]
@@ -1422,7 +1303,7 @@ mod tests {
 
     #[test]
     fn empty_campaign_is_well_defined() {
-        let report = run_campaign(&[], 4);
+        let report = run_campaign(&[] as &[TrialSpec], &CampaignOptions::with_threads(4));
         assert_eq!(report.trials.len(), 0);
         assert_eq!(report.mean_error(), 0.0);
         assert_eq!(report.merged_stats, Stats::new());
@@ -1431,7 +1312,7 @@ mod tests {
     #[test]
     fn reference_trials_score_zero_and_keep_output() {
         let specs: Vec<TrialSpec> = all_apps().iter().take(3).map(TrialSpec::reference).collect();
-        let report = run_campaign(&specs, 2);
+        let report = run_campaign(specs.as_slice(), &CampaignOptions::with_threads(2));
         for t in &report.trials {
             assert_eq!(t.error, 0.0, "{}", t.app);
             assert!(t.output.is_some(), "{}", t.app);
@@ -1454,7 +1335,7 @@ mod tests {
                 )
             })
             .collect();
-        let report = run_campaign(&specs, 4);
+        let report = run_campaign(specs.as_slice(), &CampaignOptions::with_threads(4));
         for (i, t) in report.trials.iter().enumerate() {
             assert_eq!(t.index, i);
             assert_eq!(t.seed, FAULT_SEED_BASE ^ i as u64);
@@ -1464,7 +1345,7 @@ mod tests {
     #[test]
     fn json_report_has_schema_and_trials() {
         let specs = vec![TrialSpec::reference(&app("MonteCarlo"))];
-        let report = run_campaign(&specs, 1);
+        let report = run_campaign(specs.as_slice(), &CampaignOptions::with_threads(1));
         let json = report.to_json();
         assert!(json.starts_with("{\"schema\":\"enerj-campaign/5\""));
         assert!(json.contains("\"app\":\"MonteCarlo\""));
@@ -1512,7 +1393,7 @@ mod tests {
                 .with_recovery(policy.clone())
             })
             .collect();
-        let report = run_campaign(&specs, 2);
+        let report = run_campaign(specs.as_slice(), &CampaignOptions::with_threads(2));
         assert!(report.recovered_count() > 0, "50x chaos at threshold 0 must escalate");
         assert!(report.recovery_energy_overhead() > EnergyQuanta::ZERO);
         for t in &report.trials {
@@ -1535,55 +1416,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn recovery_campaigns_are_bit_identical_across_thread_counts() {
-        use crate::recovery::{chaos_config, Policy};
-        let apps = [app("SOR"), app("MonteCarlo")];
-        let policy = Policy { qos_threshold: Some(0.01), ..Policy::standard() };
-        let specs: Vec<TrialSpec> = apps
-            .iter()
-            .flat_map(|a| {
-                let reference = Arc::new(harness::reference(a).output);
-                let policy = policy.clone();
-                (0..3).map(move |i| {
-                    TrialSpec::scored(
-                        a,
-                        "chaos",
-                        chaos_config(25.0),
-                        FAULT_SEED_BASE ^ i,
-                        Arc::clone(&reference),
-                    )
-                    .with_recovery(policy.clone())
-                })
-            })
-            .collect();
-        let digest = |r: &CampaignReport| {
-            r.trials
-                .iter()
-                .map(|t| {
-                    (
-                        t.error.to_bits(),
-                        t.attempts,
-                        t.recovered_at_level.clone(),
-                        t.failure_causes.clone(),
-                        t.energy.total.to_bits(),
-                        t.recovery_energy_overhead.to_bits(),
-                        t.energy_quanta,
-                        t.recovery_energy_overhead_quanta,
-                        t.stats,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let base = digest(&run_campaign(&specs, 1));
-        for threads in [2, 4, 8] {
-            assert_eq!(digest(&run_campaign(&specs, threads)), base, "{threads} threads");
-        }
-        // Telemetry must not perturb recovery outcomes either.
-        let opts = CampaignOptions { threads: 4, log_events: true, ..CampaignOptions::default() };
-        assert_eq!(digest(&run_campaign_with(&specs, &opts)), base, "with fault log");
-    }
-
     /// Satellite of the quanta refactor: the accounting identity
     /// `accepted-attempt energy + recovery overhead == trial energy` holds
     /// *exactly* — asserted with `==` on `u128` quanta, no epsilon — for
@@ -1603,7 +1435,7 @@ mod tests {
                     .with_recovery(policy.clone())
             })
             .collect();
-        let report = run_campaign(&specs, 4);
+        let report = run_campaign(specs.as_slice(), &CampaignOptions::with_threads(4));
         assert!(report.recovered_count() > 0, "50x chaos at threshold 0 must escalate");
         for t in &report.trials {
             // Exact decomposition: subtraction round-trips in u128.
@@ -1661,7 +1493,7 @@ mod tests {
             })
             .collect();
         let opts = CampaignOptions { threads: 2, log_events: true, ..CampaignOptions::default() };
-        let report = run_campaign_with(&specs, &opts);
+        let report = run_campaign(specs.as_slice(), &opts);
         let totals = report.fault_totals();
         assert!(totals.total_injections() > 0, "aggressive MonteCarlo injects faults");
         let ndjson = report.fault_log_ndjson();
@@ -1672,104 +1504,6 @@ mod tests {
             assert!(line.contains("\"unit\":"));
             assert!(line.contains("\"width\":"));
             assert!(line.ends_with('}'));
-        }
-    }
-
-    #[test]
-    fn json_escaping_and_nonfinite_numbers() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_f64(f64::NAN), "1.0");
-        assert_eq!(json_f64(f64::INFINITY), "1e308");
-        assert_eq!(json_f64(0.25), "0.25");
-    }
-
-    #[test]
-    fn level_campaign_matches_serial_mean_error() {
-        let apps = [app("MonteCarlo")];
-        let report = run_level_campaign(&apps, &[Level::Mild], 3, 2);
-        let serial = harness::mean_output_error(&apps[0], Level::Mild, 3);
-        let parallel = report.mean_error_for("MonteCarlo", "Mild");
-        assert_eq!(serial.to_bits(), parallel.to_bits());
-    }
-
-    /// One chaos-recovery campaign per thread count in {1, 2, 4, 8},
-    /// computed once and shared across proptest cases.
-    fn shared_thread_reports() -> &'static Vec<(usize, CampaignReport)> {
-        use std::sync::OnceLock;
-        static REPORTS: OnceLock<Vec<(usize, CampaignReport)>> = OnceLock::new();
-        REPORTS.get_or_init(|| {
-            use crate::recovery::{chaos_config, Policy};
-            let mc = app("MonteCarlo");
-            let reference = Arc::new(harness::reference(&mc).output);
-            let policy = Policy { qos_threshold: Some(0.01), ..Policy::standard() };
-            let specs: Vec<TrialSpec> = (0..4)
-                .map(|i| {
-                    TrialSpec::scored(
-                        &mc,
-                        "chaos",
-                        chaos_config(25.0),
-                        FAULT_SEED_BASE ^ i,
-                        Arc::clone(&reference),
-                    )
-                    .with_recovery(policy.clone())
-                })
-                .collect();
-            [1usize, 2, 4, 8].iter().map(|&t| (t, run_campaign(&specs, t))).collect()
-        })
-    }
-
-    /// Deterministic Fisher–Yates driven by a SplitMix64 stream.
-    fn shuffle<T>(items: &mut [T], mut seed: u64) {
-        let mut next = || {
-            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for i in (1..items.len()).rev() {
-            items.swap(i, (next() % (i as u64 + 1)) as usize);
-        }
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Satellite of the quanta refactor: shuffle the trial merge order
-        /// *and* the thread count — every campaign energy total (per-pool
-        /// stats quanta, the energy breakdown, and the recovery overhead)
-        /// is bit-identical, asserted with `==` on the integers.
-        #[test]
-        fn campaign_energy_totals_are_order_and_thread_independent(
-            seed: u64,
-            threads in proptest::sample::select(vec![1usize, 2, 4, 8]),
-        ) {
-            let reports = shared_thread_reports();
-            let base = &reports[0].1;
-            let report =
-                &reports.iter().find(|(t, _)| *t == threads).expect("precomputed").1;
-
-            // Thread count cannot perturb any total.
-            prop_assert_eq!(report.energy_quanta_totals(), base.energy_quanta_totals());
-            prop_assert_eq!(report.recovery_energy_overhead(), base.recovery_energy_overhead());
-            prop_assert_eq!(report.merged_stats, base.merged_stats);
-
-            // Neither can merge order: fold the trials in a shuffled order
-            // and compare whole-struct equality against the in-order totals.
-            let mut order: Vec<usize> = (0..report.trials.len()).collect();
-            shuffle(&mut order, seed);
-            let mut energy = EnergyQuantaBreakdown::ZERO;
-            let mut overhead = EnergyQuanta::ZERO;
-            let mut stats = Stats::new();
-            for &i in &order {
-                energy.merge(&report.trials[i].energy_quanta);
-                overhead += report.trials[i].recovery_energy_overhead_quanta;
-                stats.merge(&report.trials[i].stats);
-            }
-            prop_assert_eq!(energy, base.energy_quanta_totals());
-            prop_assert_eq!(overhead, base.recovery_energy_overhead());
-            prop_assert_eq!(stats, base.merged_stats);
         }
     }
 }

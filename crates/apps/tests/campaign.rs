@@ -1,14 +1,16 @@
-//! Integration tests for the parallel trial-campaign subsystem: the
-//! parallel runner must be bit-identical to the serial loop it replaced,
-//! and a panicking trial must be contained instead of killing the
-//! campaign.
+//! Integration tests for the trial-campaign subsystem: the engine must
+//! be bit-identical to the serial reference loop (`reference/mod.rs`), the
+//! Figure 5 grid must reproduce the paper's serial protocol, and a
+//! panicking trial must be contained instead of killing the campaign.
+
+mod reference;
 
 use std::sync::Arc;
 
 use enerj_apps::harness::{self, FAULT_SEED_BASE};
 use enerj_apps::meta::AppMeta;
 use enerj_apps::qos::{output_error, Output, QosMetric};
-use enerj_apps::trials::{run_campaign, run_level_campaign, TrialSpec};
+use enerj_apps::trials::{run_campaign, run_level_campaign, CampaignOptions, LevelGrid, TrialSpec};
 use enerj_apps::{all_apps, App};
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::stats::Stats;
@@ -35,51 +37,14 @@ fn level_specs(app: &App, levels: &[Level], runs: u64) -> Vec<TrialSpec> {
     specs
 }
 
-/// The pre-campaign serial loop, hand-rolled: one `measure_with` +
-/// `output_error` per spec, stats merged in order.
-fn serial_baseline(specs: &[TrialSpec]) -> (Vec<f64>, Vec<Stats>, Stats) {
-    let mut errors = Vec::new();
-    let mut stats = Vec::new();
-    let mut merged = Stats::new();
-    for spec in specs {
-        let m = harness::measure_with(&spec.app, spec.cfg, spec.seed);
-        let err = match &spec.reference {
-            Some(r) => output_error(spec.app.meta.metric, r, &m.output),
-            None => 0.0,
-        };
-        errors.push(err);
-        stats.push(m.stats);
-        merged.merge(&m.stats);
-    }
-    (errors, stats, merged)
-}
-
 #[test]
-fn parallel_campaign_is_bit_identical_to_the_serial_loop() {
+fn campaign_is_bit_identical_to_the_serial_reference() {
     for name in ["FFT", "MonteCarlo", "jMonkeyEngine"] {
-        let app = app(name);
-        let specs = level_specs(&app, &[Level::Mild, Level::Aggressive], 3);
-        let (serial_errors, serial_stats, serial_merged) = serial_baseline(&specs);
-        for threads in [1, 4] {
-            let report = run_campaign(&specs, threads);
-            assert_eq!(report.trials.len(), specs.len(), "{name}");
-            for (t, (se, ss)) in report.trials.iter().zip(serial_errors.iter().zip(&serial_stats)) {
-                assert_eq!(
-                    t.error.to_bits(),
-                    se.to_bits(),
-                    "{name}: trial {} error differs at {threads} threads",
-                    t.index
-                );
-                assert_eq!(
-                    t.stats, *ss,
-                    "{name}: trial {} stats differ at {threads} threads",
-                    t.index
-                );
-            }
-            assert_eq!(
-                report.merged_stats, serial_merged,
-                "{name}: merged stats differ at {threads} threads"
-            );
+        let specs = level_specs(&app(name), &[Level::Mild, Level::Aggressive], 3);
+        let want = reference::run(specs.as_slice(), false);
+        for threads in [1, 2, 4, 8] {
+            let report = run_campaign(specs.as_slice(), &CampaignOptions::with_threads(threads));
+            reference::assert_report_matches(&report, &want, &format!("{name}, {threads} threads"));
         }
     }
 }
@@ -87,35 +52,21 @@ fn parallel_campaign_is_bit_identical_to_the_serial_loop() {
 /// The SciMark kernels now run their inner loops on the batched
 /// whole-slice API (see DESIGN.md "Batched kernels"); a campaign over them
 /// must stay a deterministic function of `(config, seed, program)` — the
-/// same trial-by-trial bits at every thread count and with fault telemetry
-/// on or off, energy quanta included.
+/// serial reference's trial-by-trial bits at every thread count and with
+/// fault telemetry on or off, energy quanta included.
 #[test]
 fn batched_app_campaigns_are_bit_identical_across_threads_and_telemetry() {
-    use enerj_apps::trials::{run_campaign_with, CampaignOptions};
     let mut specs = Vec::new();
     for name in ["FFT", "SOR", "LU"] {
         specs.extend(level_specs(&app(name), &[Level::Mild, Level::Aggressive], 2));
     }
-    let baseline = run_campaign(&specs, 1);
-    for threads in [1, 2, 4, 8] {
-        for log_events in [false, true] {
-            let report = run_campaign_with(
-                &specs,
-                &CampaignOptions { threads, log_events, ..CampaignOptions::default() },
-            );
-            assert_eq!(report.trials.len(), baseline.trials.len());
-            for (t, b) in report.trials.iter().zip(&baseline.trials) {
-                let what = format!(
-                    "{}/{} trial {} at {threads} threads, telemetry {log_events}",
-                    t.app, t.label, t.index
-                );
-                assert_eq!(t.error.to_bits(), b.error.to_bits(), "{what}: error");
-                assert_eq!(t.stats, b.stats, "{what}: stats");
-                assert_eq!(t.energy_quanta, b.energy_quanta, "{what}: quanta");
-                assert_eq!(t.fault_counts, b.fault_counts, "{what}: fault counts");
-            }
-            assert_eq!(report.merged_stats, baseline.merged_stats);
-            assert_eq!(report.energy_quanta_totals(), baseline.energy_quanta_totals());
+    for log_events in [false, true] {
+        let want = reference::run(specs.as_slice(), log_events);
+        for threads in [1, 2, 4, 8] {
+            let opts = CampaignOptions { threads, log_events, ..CampaignOptions::default() };
+            let report = run_campaign(specs.as_slice(), &opts);
+            let what = format!("{threads} threads, telemetry {log_events}");
+            reference::assert_report_matches(&report, &want, &what);
         }
     }
 }
@@ -124,6 +75,8 @@ fn batched_app_campaigns_are_bit_identical_across_threads_and_telemetry() {
 fn level_campaign_matches_per_level_serial_means() {
     let apps = [app("SOR"), app("MonteCarlo")];
     let report = run_level_campaign(&apps, &Level::ALL, 2, 4);
+    let grid = LevelGrid::new(&apps, &Level::ALL, 2, 1);
+    reference::assert_report_matches(&report, &reference::run(&grid, false), "Figure 5 grid");
     for a in &apps {
         let reference = harness::reference(a).output;
         for level in Level::ALL {
@@ -185,9 +138,9 @@ fn panicking_trial_is_contained_and_scored_worst_case() {
             Arc::clone(&reference),
         ),
     ];
-    // The campaign must complete at every thread count, serial included.
+    // The campaign must complete at every thread count, one included.
     for threads in [1, 3] {
-        let report = run_campaign(&specs, threads);
+        let report = run_campaign(specs.as_slice(), &CampaignOptions::with_threads(threads));
         assert_eq!(report.trials.len(), 3);
         assert_eq!(report.panic_count(), 1);
         let crashed = &report.trials[1];
@@ -220,7 +173,7 @@ fn panicking_trial_is_contained_and_scored_worst_case() {
     // Also contained when the panicking trial is last (a worker's final
     // pull) and when every trial panics.
     specs.rotate_left(1);
-    let report = run_campaign(&specs, 2);
+    let report = run_campaign(specs.as_slice(), &CampaignOptions::with_threads(2));
     assert_eq!(report.panic_count(), 1);
     let all_bad: Vec<TrialSpec> = (0..4)
         .map(|i| {
@@ -233,7 +186,7 @@ fn panicking_trial_is_contained_and_scored_worst_case() {
             )
         })
         .collect();
-    let report = run_campaign(&all_bad, 2);
+    let report = run_campaign(all_bad.as_slice(), &CampaignOptions::with_threads(2));
     assert_eq!(report.panic_count(), 4);
     assert_eq!(report.mean_error(), 1.0);
     assert_eq!(report.merged_stats, Stats::new());

@@ -13,9 +13,7 @@ use enerj_apps::scheduler::{
     profile_workload, run_scheduled, run_scheduled_streamed, AppProfile, SchedLevel, SchedOutcome,
     SchedulerConfig, Workload,
 };
-use enerj_apps::trials::{
-    run_campaign_with, CampaignOptions, CampaignReport, TrialResult, VecSink,
-};
+use enerj_apps::trials::{run_campaign, CampaignOptions, CampaignReport, TrialResult, VecSink};
 use enerj_apps::{all_apps, App};
 use enerj_hw::energy::QuantaMeter;
 use enerj_hw::quanta::EnergyQuanta;
@@ -47,7 +45,7 @@ fn fixture() -> &'static Fixture {
         let workload = Workload::new(apps(&["FFT", "MonteCarlo", "SOR"]), 8);
         let opts = CampaignOptions::with_threads(2);
         let profiles = profile_workload(&workload, QuantaMeter::Sram, 2, &opts);
-        let precise = run_campaign_with(&workload.static_specs(SchedLevel::Precise), &opts);
+        let precise = run_campaign(workload.static_specs(SchedLevel::Precise).as_slice(), &opts);
         let precise_cost = QuantaMeter::Sram.spent(&precise.energy_quanta_totals());
         let budget = EnergyQuanta::new(precise_cost.get() * 60 / 100);
         let baseline = run_scheduled(
@@ -259,7 +257,7 @@ fn recovery_spend_spikes_stay_deterministic_and_on_budget() {
     let workload = Workload::new(apps(&["MonteCarlo", "FFT"]), 8);
     let opts = CampaignOptions::with_threads(1);
     let profiles = profile_workload(&workload, QuantaMeter::Sram, 2, &opts);
-    let precise = run_campaign_with(&workload.static_specs(SchedLevel::Precise), &opts);
+    let precise = run_campaign(workload.static_specs(SchedLevel::Precise).as_slice(), &opts);
     let budget =
         EnergyQuanta::new(QuantaMeter::Sram.spent(&precise.energy_quanta_totals()).get() / 2);
     let cfg = SchedulerConfig {
@@ -304,7 +302,7 @@ fn total_meter_schedules_against_total_quanta() {
     let fx = fixture();
     let opts = CampaignOptions::with_threads(2);
     let profiles = profile_workload(&fx.workload, QuantaMeter::Total, 2, &opts);
-    let precise = run_campaign_with(&fx.workload.static_specs(SchedLevel::Precise), &opts);
+    let precise = run_campaign(fx.workload.static_specs(SchedLevel::Precise).as_slice(), &opts);
     let total_cost = QuantaMeter::Total.spent(&precise.energy_quanta_totals());
     let budget = EnergyQuanta::new(total_cost.get() * 90 / 100);
     let cfg = SchedulerConfig { budget, meter: QuantaMeter::Total, epoch: 0, recovery: None };

@@ -1,23 +1,30 @@
-//! Integration tests for the streaming campaign engine: a lazily-sourced,
-//! sink-streamed campaign must be bit-identical to the in-memory runner —
-//! trial by trial and in every aggregate — for any thread count, chunk
-//! size, sink, and telemetry setting, recovery ladders included. The
-//! engine is a throughput optimization; it is allowed to change nothing
-//! else.
+//! Integration tests for the streaming campaign engine: every campaign —
+//! lazily sourced, any thread count, chunk size, sink and telemetry
+//! setting, recovery ladders and crashing apps included — must match the
+//! serial reference loop (`reference/mod.rs`) trial by trial and in every
+//! aggregate. The engine is a throughput optimization; it is allowed to
+//! change nothing else.
+
+mod reference;
 
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use enerj_apps::harness::{self, FAULT_SEED_BASE};
+use enerj_apps::meta::AppMeta;
+use enerj_apps::qos::{Output, QosMetric};
 use enerj_apps::recovery::{chaos_config, Policy};
 use enerj_apps::trials::{
-    run_campaign_streamed, run_campaign_with, trial_json, CampaignOptions, CampaignReport,
-    CampaignSummary, NdjsonSink, SpecFn, TrialResult, TrialSink, TrialSpec, VecSink,
+    run_campaign, run_campaign_streamed, trial_json, CampaignOptions, CampaignReport, NdjsonSink,
+    NullSink, SpecFn, TrialResult, TrialSink, TrialSpec, VecSink,
 };
-use enerj_apps::{all_apps, App};
+use enerj_apps::{all_apps, no_check, App};
+use enerj_core::{endorse, Approx};
 use enerj_hw::config::{HwConfig, Level};
+use enerj_hw::energy::EnergyQuantaBreakdown;
 use enerj_hw::quanta::EnergyQuanta;
+use enerj_hw::stats::Stats;
 use proptest::prelude::*;
 
 fn app(name: &str) -> App {
@@ -47,84 +54,17 @@ fn mixed_specs() -> Vec<TrialSpec> {
     specs
 }
 
-/// Asserts the streamed run reproduced the in-memory report exactly:
-/// every per-trial bit and every aggregate.
-fn assert_matches_report(
-    report: &CampaignReport,
-    streamed: &[enerj_apps::trials::TrialResult],
-    summary: &CampaignSummary,
-    what: &str,
-) {
-    assert_eq!(streamed.len(), report.trials.len(), "{what}: trial count");
-    for (s, b) in streamed.iter().zip(&report.trials) {
-        let where_ = format!("{what}: trial {}", b.index);
-        assert_eq!(s.index, b.index, "{where_}: index");
-        assert_eq!(s.seed, b.seed, "{where_}: seed");
-        assert_eq!(s.label, b.label, "{where_}: label");
-        assert_eq!(s.error.to_bits(), b.error.to_bits(), "{where_}: error");
-        assert_eq!(s.stats, b.stats, "{where_}: stats");
-        assert_eq!(s.energy_quanta, b.energy_quanta, "{where_}: quanta");
-        assert_eq!(s.fault_counts, b.fault_counts, "{where_}: fault counts");
-        assert_eq!(s.panic, b.panic, "{where_}: panic");
-        assert_eq!(s.attempts, b.attempts, "{where_}: attempts");
-        assert_eq!(s.recovered_at_level, b.recovered_at_level, "{where_}: recovery rung");
-        assert_eq!(
-            s.recovery_energy_overhead_quanta, b.recovery_energy_overhead_quanta,
-            "{where_}: recovery overhead"
-        );
-    }
-    assert_eq!(summary.trials, report.trials.len(), "{what}: summary count");
-    assert_eq!(
-        summary.mean_error.to_bits(),
-        report.mean_error().to_bits(),
-        "{what}: summary mean error"
-    );
-    assert_eq!(summary.panics, report.panic_count(), "{what}: summary panics");
-    assert_eq!(summary.recovered, report.recovered_count(), "{what}: summary recovered");
-    assert_eq!(summary.merged_stats, report.merged_stats, "{what}: summary stats");
-    assert_eq!(summary.energy_quanta, report.energy_quanta_totals(), "{what}: summary quanta");
-    assert_eq!(summary.fault_totals, report.fault_totals(), "{what}: summary faults");
-    assert_eq!(
-        summary.recovery_energy_overhead_quanta,
-        report.recovery_energy_overhead(),
-        "{what}: summary overhead"
-    );
-    assert!(
-        summary.peak_buffered <= summary.buffer_capacity,
-        "{what}: window {}/{} leaked past its bound",
-        summary.peak_buffered,
-        summary.buffer_capacity
-    );
+fn panicking_run() -> Output {
+    panic!("endorsed index perturbed out of bounds");
 }
 
-#[test]
-fn streamed_campaign_is_bit_identical_to_in_memory_runner() {
-    let specs = mixed_specs();
-    let baseline = run_campaign_with(&specs, &CampaignOptions::with_threads(1));
-    for threads in [1usize, 2, 4, 8] {
-        for chunk in [1usize, 16, 256] {
-            for log_events in [false, true] {
-                let source = SpecFn::new(specs.len(), |i| specs[i].clone());
-                let opts =
-                    CampaignOptions { threads, chunk, log_events, ..CampaignOptions::default() };
-                let mut sink = VecSink::default();
-                let summary = run_campaign_streamed(&source, &opts, &mut sink)
-                    .expect("the in-memory sink cannot fail");
-                let what = format!("{threads} threads, chunk {chunk}, telemetry {log_events}");
-                assert_matches_report(&baseline, &sink.trials, &summary, &what);
-            }
-        }
-    }
-}
-
-/// Recovery campaigns exercise the whole ladder inside a worker — retry
-/// seeds, escalation, overhead quanta — and must stream identically too.
-#[test]
-fn streamed_recovery_campaign_is_bit_identical() {
+/// `n` MonteCarlo trials under 50x chaos with a recovery ladder at QoS
+/// threshold 0, so faulted trials escalate.
+fn recovery_specs(n: u64) -> Vec<TrialSpec> {
     let app = app("MonteCarlo");
     let reference = Arc::new(harness::reference(&app).output);
     let policy = Policy { qos_threshold: Some(0.0), ..Policy::standard() };
-    let specs: Vec<TrialSpec> = (0..5u64)
+    (0..n)
         .map(|i| {
             TrialSpec::scored(
                 &app,
@@ -135,48 +75,148 @@ fn streamed_recovery_campaign_is_bit_identical() {
             )
             .with_recovery(policy.clone())
         })
-        .collect();
-    let baseline = run_campaign_with(&specs, &CampaignOptions::with_threads(1));
-    assert!(baseline.recovered_count() > 0, "threshold 0 under chaos must escalate");
-    for threads in [1usize, 4] {
-        for chunk in [1usize, 256] {
+        .collect()
+}
+
+/// Plain specs, recovery specs and a crashing app, interleaved so every
+/// kind lands in different chunks and on different workers; the crashing
+/// app is also the first and the last trial.
+fn all_kinds_specs() -> Vec<TrialSpec> {
+    let panicker = App {
+        meta: AppMeta {
+            name: "Panicker",
+            description: "test-only app whose every run crashes",
+            metric: QosMetric::MeanEntryDiff,
+            source: "",
+        },
+        run: panicking_run,
+        check: no_check,
+    };
+    let bad_reference = Arc::new(Output::Values(vec![0.0]));
+    let mut specs = mixed_specs();
+    for (k, r) in recovery_specs(2).into_iter().enumerate() {
+        specs.insert(5 * k + 1, r);
+    }
+    for at in [0, 7, specs.len() + 2] {
+        specs.insert(
+            at,
+            TrialSpec::scored(
+                &panicker,
+                "Medium",
+                HwConfig::for_level(Level::Medium),
+                FAULT_SEED_BASE ^ at as u64,
+                Arc::clone(&bad_reference),
+            ),
+        );
+    }
+    assert!(specs.last().is_some_and(|s| s.app.meta.name == "Panicker"));
+    specs
+}
+
+/// The engine against the serial reference at threads {1, 2, 4, 8} ×
+/// chunk {1, 3, 256, auto} × every sink: `VecSink` with and without the
+/// fault log, the in-memory report (post-hoc totals included), the NDJSON
+/// stream (wall-clock masked) and the null sink's summary.
+#[test]
+fn engine_matches_the_serial_reference_at_every_thread_count_chunk_and_sink() {
+    let specs = all_kinds_specs();
+    let plain = reference::run(specs.as_slice(), false);
+    let logged = reference::run(specs.as_slice(), true);
+    assert!(plain.totals.panics >= 3, "the crashing app must be in the campaign");
+    assert!(plain.totals.recovered > 0, "threshold 0 under chaos must escalate");
+    for threads in [1usize, 2, 4, 8] {
+        for chunk in [1usize, 3, 256, 0] {
+            let what = format!("{threads} threads, chunk {chunk}");
             let source = SpecFn::new(specs.len(), |i| specs[i].clone());
+            for (log_events, want) in [(false, &plain), (true, &logged)] {
+                let opts =
+                    CampaignOptions { threads, chunk, log_events, ..CampaignOptions::default() };
+                let mut sink = VecSink::default();
+                let summary = run_campaign_streamed(&source, &opts, &mut sink)
+                    .expect("the in-memory sink cannot fail");
+                let what = format!("{what}, fault log {log_events}");
+                reference::assert_trials_match(&sink.trials, want, &what);
+                reference::assert_summary_matches(&summary, want, &what);
+            }
+
             let opts = CampaignOptions { threads, chunk, ..CampaignOptions::default() };
-            let mut sink = VecSink::default();
+            let report = run_campaign(&source, &opts);
+            reference::assert_report_matches(&report, &plain, &format!("{what}, report"));
+
+            let mut sink = NdjsonSink::new(Vec::<u8>::new());
             let summary = run_campaign_streamed(&source, &opts, &mut sink)
-                .expect("the in-memory sink cannot fail");
-            let what = format!("recovery at {threads} threads, chunk {chunk}");
-            assert_matches_report(&baseline, &sink.trials, &summary, &what);
+                .expect("Vec<u8> writes cannot fail");
+            reference::assert_summary_matches(&summary, &plain, &format!("{what}, NDJSON"));
+            let text = String::from_utf8(sink.into_inner()).expect("NDJSON is UTF-8");
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), plain.trials.len(), "{what}: NDJSON line count");
+            for (line, want) in lines.iter().zip(&plain.trials) {
+                assert_eq!(
+                    reference::mask_wall(line),
+                    reference::mask_wall(&trial_json(want)),
+                    "{what}: NDJSON line {}",
+                    want.index
+                );
+            }
+
+            let summary = run_campaign_streamed(&source, &opts, &mut NullSink)
+                .expect("the null sink cannot fail");
+            reference::assert_summary_matches(&summary, &plain, &format!("{what}, null sink"));
         }
     }
 }
 
-/// Blanks the one field of a trial's JSON line that is not a function of
-/// its spec: the wall-clock measurement.
-fn mask_wall(line: &str) -> String {
-    let start = line.find("\"wall_seconds\":").expect("trial JSON carries wall_seconds");
-    let rest = &line[start..];
-    let end = start + rest.find(',').expect("wall_seconds is not the last field");
-    format!("{}\"wall_seconds\":W{}", &line[..start], &line[end..])
+/// The synthetic dispatch body: a generated input and a few approximate
+/// ops, so hundreds of trials cost milliseconds.
+fn tiny_run() -> Output {
+    let signal = enerj_apps::workload::complex_signal(512);
+    let mut acc = Approx::new(0.0f64);
+    for i in 0..16 {
+        acc += Approx::new(signal.0[i]) * 0.5;
+    }
+    Output::Values(vec![endorse(acc)])
 }
 
-/// The NDJSON sink must receive exactly the serialization the in-memory
-/// report would produce for each trial, in index order.
+/// Hundreds of tiny trials keep the reorder window full, so workers block
+/// on backpressure and drain each other's slots: the engine must still
+/// deliver exactly the reference, with the window inside its bound.
 #[test]
-fn ndjson_sink_emits_trial_json_in_index_order() {
-    let specs = mixed_specs();
-    let baseline = run_campaign_with(&specs, &CampaignOptions::with_threads(1));
-    let source = SpecFn::new(specs.len(), |i| specs[i].clone());
-    let opts = CampaignOptions { threads: 4, chunk: 2, ..CampaignOptions::default() };
-    let mut sink = NdjsonSink::new(Vec::<u8>::new());
-    let summary =
-        run_campaign_streamed(&source, &opts, &mut sink).expect("Vec<u8> writes cannot fail");
-    let text = String::from_utf8(sink.into_inner()).expect("NDJSON is UTF-8");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), baseline.trials.len());
-    assert_eq!(summary.trials, baseline.trials.len());
-    for (line, trial) in lines.iter().zip(&baseline.trials) {
-        assert_eq!(mask_wall(line), mask_wall(&trial_json(trial)), "trial {}", trial.index);
+fn many_small_trials_match_the_serial_reference() {
+    let tiny = App {
+        meta: AppMeta {
+            name: "TinyDispatch",
+            description: "synthetic campaign body: generated input, few approximate ops",
+            metric: QosMetric::MeanEntryDiff,
+            source: "",
+        },
+        run: tiny_run,
+        check: no_check,
+    };
+    let reference_output = Arc::new(harness::reference(&tiny).output);
+    let source = SpecFn::new(400, |i| {
+        TrialSpec::scored(
+            &tiny,
+            "perf",
+            HwConfig::for_level(Level::Medium),
+            FAULT_SEED_BASE ^ i as u64,
+            Arc::clone(&reference_output),
+        )
+    });
+    let want = reference::run(&source, false);
+    for threads in [1usize, 2, 4, 8] {
+        for chunk in [1usize, 16, 64] {
+            let what = format!("tiny, {threads} threads, chunk {chunk}");
+            let opts = CampaignOptions { threads, chunk, ..CampaignOptions::default() };
+            let mut sink = VecSink::default();
+            let summary = run_campaign_streamed(&source, &opts, &mut sink)
+                .expect("the in-memory sink cannot fail");
+            reference::assert_trials_match(&sink.trials, &want, &what);
+            reference::assert_summary_matches(&summary, &want, &what);
+            assert_eq!(summary.buffer_capacity, (2 * threads * chunk).max(chunk + 1), "{what}");
+            if threads == 1 {
+                assert_eq!(summary.peak_buffered, 1, "{what}: one thread drains every push");
+            }
+        }
     }
 }
 
@@ -187,7 +227,7 @@ fn ndjson_sink_emits_trial_json_in_index_order() {
 #[test]
 fn deadline_truncates_at_a_chunk_boundary_bit_identically() {
     let specs = mixed_specs();
-    let baseline = run_campaign_with(&specs, &CampaignOptions::with_threads(1));
+    let want = reference::run(specs.as_slice(), false);
     let chunk = 4usize;
 
     // spec(0) stalls well past the deadline. The deadline is checked at
@@ -211,11 +251,8 @@ fn deadline_truncates_at_a_chunk_boundary_bit_identically() {
     assert!(summary.deadline_exceeded, "the stalled first chunk must overrun the deadline");
     assert_eq!(sink.trials.len(), chunk, "truncation lands on a chunk boundary");
     assert_eq!(summary.trials, chunk);
-    for (s, b) in sink.trials.iter().zip(&baseline.trials) {
-        assert_eq!(s.index, b.index, "prefix order");
-        assert_eq!(s.error.to_bits(), b.error.to_bits(), "trial {}: error", b.index);
-        assert_eq!(s.energy_quanta, b.energy_quanta, "trial {}: quanta", b.index);
-        assert_eq!(s.stats, b.stats, "trial {}: stats", b.index);
+    for (got, want) in sink.trials.iter().zip(&want.trials) {
+        reference::assert_trial_eq(got, want, "deadline prefix");
     }
 
     // An already-expired deadline truncates before the first claim.
@@ -243,8 +280,8 @@ fn deadline_truncates_at_a_chunk_boundary_bit_identically() {
     let mut sink = VecSink::default();
     let summary =
         run_campaign_streamed(&source, &opts, &mut sink).expect("the in-memory sink cannot fail");
-    assert!(!summary.deadline_exceeded);
-    assert_matches_report(&baseline, &sink.trials, &summary, "slack deadline");
+    reference::assert_trials_match(&sink.trials, &want, "slack deadline");
+    reference::assert_summary_matches(&summary, &want, "slack deadline");
 }
 
 /// A worker that dies mid-chunk (a panicking [`SpecFn`] — a harness bug,
@@ -303,8 +340,7 @@ impl TrialSink for FailingSink {
 }
 
 /// Sink failures — on a mid-campaign `accept` or on the final `flush` —
-/// surface as the campaign's `io::Result` on both the serial and the
-/// parallel path. The engine never swallows a sink error, and an accept
+/// surface as the campaign's `io::Result` at one thread and at several. The engine never swallows a sink error, and an accept
 /// error stops deliveries without stopping the campaign.
 #[test]
 fn sink_errors_surface_as_the_campaign_result() {
@@ -415,5 +451,73 @@ proptest! {
         }
         let shuffled = chunked_shuffled_sum(&values, chunk, workers, seed);
         prop_assert_eq!(index_order, shuffled);
+    }
+}
+
+/// The serial reference and one engine report per thread count in
+/// {1, 2, 4, 8} over a chaos-recovery campaign, computed once and shared
+/// across proptest cases.
+fn shared_recovery_reports() -> &'static (reference::Reference, Vec<(usize, CampaignReport)>) {
+    static REPORTS: OnceLock<(reference::Reference, Vec<(usize, CampaignReport)>)> =
+        OnceLock::new();
+    REPORTS.get_or_init(|| {
+        let specs = recovery_specs(4);
+        let want = reference::run(specs.as_slice(), false);
+        let reports = [1usize, 2, 4, 8]
+            .iter()
+            .map(|&t| (t, run_campaign(specs.as_slice(), &CampaignOptions::with_threads(t))))
+            .collect();
+        (want, reports)
+    })
+}
+
+/// Deterministic Fisher–Yates driven by a SplitMix64 stream.
+fn shuffle<T>(items: &mut [T], mut seed: u64) {
+    let mut next = || {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for i in (1..items.len()).rev() {
+        items.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+}
+
+proptest! {
+    /// Shuffle the trial merge order *and* the thread count: every
+    /// campaign energy total (per-pool stats quanta, the energy breakdown,
+    /// and the recovery overhead) equals the serial reference's, asserted
+    /// with `==` on the integers.
+    #[test]
+    fn campaign_energy_totals_are_order_and_thread_independent(
+        seed: u64,
+        threads in proptest::sample::select(vec![1usize, 2, 4, 8]),
+    ) {
+        let (want, reports) = shared_recovery_reports();
+        let want = &want.totals;
+        let report = &reports.iter().find(|(t, _)| *t == threads).expect("precomputed").1;
+
+        // Thread count cannot perturb any total.
+        prop_assert_eq!(report.energy_quanta_totals(), want.energy_quanta);
+        prop_assert_eq!(report.recovery_energy_overhead(), want.recovery_energy_overhead_quanta);
+        prop_assert_eq!(report.merged_stats, want.merged_stats);
+
+        // Neither can merge order: fold the trials in a shuffled order
+        // and compare whole-struct equality against the in-order totals.
+        let mut order: Vec<usize> = (0..report.trials.len()).collect();
+        shuffle(&mut order, seed);
+        let mut energy = EnergyQuantaBreakdown::ZERO;
+        let mut overhead = EnergyQuanta::ZERO;
+        let mut stats = Stats::new();
+        for &i in &order {
+            energy.merge(&report.trials[i].energy_quanta);
+            overhead += report.trials[i].recovery_energy_overhead_quanta;
+            stats.merge(&report.trials[i].stats);
+        }
+        prop_assert_eq!(energy, want.energy_quanta);
+        prop_assert_eq!(overhead, want.recovery_energy_overhead_quanta);
+        prop_assert_eq!(stats, want.merged_stats);
     }
 }

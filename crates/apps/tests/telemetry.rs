@@ -3,14 +3,14 @@
 //! byte-stable (golden files), and the evaluation, tuner and recovery-retry
 //! seed spaces must be provably pairwise disjoint.
 
+mod reference;
+
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use enerj_apps::harness::{self, FAULT_SEED_BASE, TUNER_SEED_BASE};
-use enerj_apps::trials::{
-    run_campaign_with, CampaignOptions, CampaignReport, TrialResult, TrialSpec,
-};
+use enerj_apps::trials::{run_campaign, CampaignOptions, CampaignReport, TrialResult, TrialSpec};
 use enerj_apps::{all_apps, App};
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
@@ -42,33 +42,30 @@ fn aggressive_specs(names: &[&str], runs: u64) -> Vec<TrialSpec> {
     specs
 }
 
+/// The fault log never changes an outcome: the engine with telemetry off
+/// and on matches the serial reference run the same way, and the two
+/// reference runs differ only in the log itself.
 #[test]
 fn telemetry_on_is_bit_identical_to_telemetry_off() {
     let specs = aggressive_specs(&["FFT", "MonteCarlo"], 3);
-    let off = run_campaign_with(
-        &specs,
-        &CampaignOptions { threads: 2, log_events: false, ..CampaignOptions::default() },
-    );
-    let on = run_campaign_with(
-        &specs,
-        &CampaignOptions { threads: 2, log_events: true, ..CampaignOptions::default() },
-    );
-    assert_eq!(off.trials.len(), on.trials.len());
+    let off = reference::run(specs.as_slice(), false);
+    let on = reference::run(specs.as_slice(), true);
+    for (log_events, want) in [(false, &off), (true, &on)] {
+        let opts = CampaignOptions { threads: 2, log_events, ..CampaignOptions::default() };
+        let report = run_campaign(specs.as_slice(), &opts);
+        reference::assert_report_matches(&report, want, &format!("telemetry {log_events}"));
+    }
     for (a, b) in off.trials.iter().zip(&on.trials) {
-        assert_eq!(a.error.to_bits(), b.error.to_bits(), "trial {} error", a.index);
-        assert_eq!(a.stats, b.stats, "trial {} stats", a.index);
-        assert_eq!(a.energy.total.to_bits(), b.energy.total.to_bits(), "trial {}", a.index);
-        assert_eq!(a.fault_counts, b.fault_counts, "trial {} counters", a.index);
         // The log is the only difference: absent when off, and when on it
         // accounts for exactly the faults the counters saw.
         assert!(a.events.is_empty());
         assert_eq!(b.events.len() as u64, b.fault_counts.total_injections());
         let bits: u64 = b.events.iter().map(|e| u64::from(e.bits_flipped)).sum();
         assert_eq!(bits, b.fault_counts.total_bits_flipped());
+        let unlogged = TrialResult { events: Vec::new(), ..b.clone() };
+        reference::assert_trial_eq(&unlogged, a, "telemetry on vs off");
     }
-    assert_eq!(off.merged_stats, on.merged_stats);
-    assert_eq!(off.fault_totals(), on.fault_totals());
-    assert!(on.fault_totals().total_injections() > 0, "aggressive trials inject faults");
+    assert!(on.totals.fault_totals.total_injections() > 0, "aggressive trials inject faults");
 }
 
 /// A fully synthetic report with fixed durations, exercising every branch

@@ -1,12 +1,7 @@
 //! `campaign_bench` — throughput and memory benchmarks for the streaming
-//! campaign engine.
-//!
-//! Measures [`trials::run_campaign_streamed`] (lazy specs, chunked work
-//! stealing, bounded reorder window, per-worker scratch) against a faithful
-//! in-binary replica of the pre-streaming slot runner: pre-materialized
-//! spec vector, one `Mutex<Option<TrialResult>>` slot per trial, one atomic
-//! claim per trial, a fresh workspace per trial, and full result retention.
-//! The workload is a tiny synthetic app (a generated input plus a few
+//! campaign engine ([`trials::run_campaign_streamed`]: lazy specs, chunked
+//! work stealing, bounded reorder window, per-worker scratch). The
+//! workload is a tiny synthetic app (a generated input plus a few
 //! approximate ops) so runner dispatch and input handling — not app
 //! compute — dominate, which is the regime million-trial campaigns live in.
 //!
@@ -14,37 +9,30 @@
 //! campaign_bench [--quick] [--threads N] [--chunk N] [--json]
 //! ```
 //!
-//! Three sections, in run order:
+//! Two sections, in run order:
 //!
 //! 1. **memory** — an N-trial campaign streamed to an NDJSON sink (a temp
 //!    file, deleted afterwards), run *first* so the process high-water mark
 //!    (`VmHWM`) reflects the streaming engine alone: peak RSS stays bounded
 //!    by the reorder window, not the campaign length.
-//! 2. **identity** — the slot replica, the in-memory engine
-//!    ([`trials::run_campaign_with`]) and the streamed engine (lazy source,
-//!    collecting sink) run the same campaign; every trial must agree bit
-//!    for bit and the process exits 1 if any does not.
-//! 3. **engine** — trials/sec for the streamed engine at several thread
-//!    counts and chunk sizes versus the slot replica at the same thread
-//!    count; the `speedup` column is the meaningful, host-independent
-//!    number.
+//! 2. **engine** — trials/sec at several thread counts and chunk sizes,
+//!    with the reorder window's high-water mark against its bound.
+//!
+//! That the engine's trials are bit-identical to a serial loop is checked
+//! by the test suite (`crates/apps/tests/streaming.rs`), not here.
 //!
 //! Results land in `results/BENCH_campaignperf.json` (schema
-//! `enerj-campaignperf/1`); check with `validate_schema --campaignperf`.
+//! `enerj-campaignperf/2`); check with `validate_schema --campaignperf`.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use enerj_apps::harness::{self, FAULT_SEED_BASE};
 use enerj_apps::meta::AppMeta;
-use enerj_apps::qos::{output_error, Output, QosMetric};
-use enerj_apps::trials::{
-    self, CampaignOptions, NdjsonSink, NullSink, SpecFn, TrialResult, TrialSpec, VecSink,
-};
+use enerj_apps::qos::{Output, QosMetric};
+use enerj_apps::trials::{self, CampaignOptions, NdjsonSink, NullSink, SpecFn, TrialSpec};
 use enerj_apps::{no_check, App};
 use enerj_bench::cli::Options;
 use enerj_bench::{bench_report_path, render_table};
@@ -54,7 +42,7 @@ use enerj_hw::config::{HwConfig, Level};
 /// The synthetic benchmark body: generate a workload input (as every real
 /// app does at the top of `run()`), fold a handful of approximate FP ops
 /// over it, endorse once. Small enough that per-trial runner overhead —
-/// spec materialization, claiming, slotting, aggregation, and input
+/// spec generation, claiming, reordering, aggregation, and input
 /// regeneration where scratch is not reused — dominates wall-clock.
 fn tiny_run() -> Output {
     let signal = enerj_apps::workload::complex_signal(512);
@@ -91,110 +79,6 @@ fn tiny_spec(app: &App, reference: &Arc<Output>, i: usize) -> TrialSpec {
     )
 }
 
-/// Faithful replica of the pre-streaming campaign runner, for the "before"
-/// column: the spec vector is fully materialized up front, every trial is
-/// claimed with its own atomic increment, lands in its own pre-allocated
-/// `Mutex<Option<_>>` slot, runs with a throwaway workspace (no scratch
-/// reuse), and every result is retained until a post-hoc index-order
-/// aggregation pass — exactly what `run_campaign_with` used to do.
-mod slot {
-    use super::*;
-    use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
-    use enerj_hw::quanta::EnergyQuanta;
-    use enerj_hw::stats::Stats;
-    use enerj_hw::FaultCounters;
-
-    fn run_trial(index: usize, spec: &TrialSpec) -> TrialResult {
-        let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // The old runner built a fresh workspace per trial.
-            let m = harness::measure_with_telemetry(&spec.app, spec.cfg, spec.seed, false);
-            let error = match &spec.reference {
-                Some(reference) => output_error(spec.app.meta.metric, reference, &m.output),
-                None => 0.0,
-            };
-            (m, error)
-        }));
-        let wall = start.elapsed();
-        match outcome {
-            Ok((m, error)) => TrialResult {
-                index,
-                app: spec.app.meta.name,
-                label: spec.label.clone(),
-                seed: spec.seed,
-                error,
-                output: spec.keep_output.then_some(m.output),
-                stats: m.stats,
-                energy: m.energy,
-                energy_quanta: m.energy_quanta,
-                wall,
-                panic: None,
-                fault_counts: m.fault_counts,
-                events: m.events,
-                attempts: 1,
-                recovered_at_level: None,
-                failure_causes: Vec::new(),
-                recovery_energy_overhead: 0.0,
-                recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
-                scheduled_level: spec.scheduled_level.clone(),
-            },
-            Err(payload) => {
-                let msg = enerj_core::panic_message(payload.as_ref());
-                TrialResult {
-                    index,
-                    app: spec.app.meta.name,
-                    label: spec.label.clone(),
-                    seed: spec.seed,
-                    error: 1.0,
-                    output: None,
-                    stats: Stats::new(),
-                    energy: EnergyBreakdown { instructions: 1.0, sram: 1.0, dram: 1.0, total: 1.0 },
-                    energy_quanta: EnergyQuantaBreakdown::ZERO,
-                    wall,
-                    failure_causes: vec![format!("panic: {msg}")],
-                    panic: Some(msg),
-                    fault_counts: FaultCounters::new(),
-                    events: Vec::new(),
-                    attempts: 1,
-                    recovered_at_level: None,
-                    recovery_energy_overhead: 0.0,
-                    recovery_energy_overhead_quanta: EnergyQuanta::ZERO,
-                    scheduled_level: spec.scheduled_level.clone(),
-                }
-            }
-        }
-    }
-
-    /// The replica runner. Returns the retained per-trial results.
-    pub fn run_campaign(specs: &[TrialSpec], threads: usize) -> Vec<TrialResult> {
-        let threads = threads.min(specs.len()).max(1);
-        if threads <= 1 {
-            return specs.iter().enumerate().map(|(i, s)| run_trial(i, s)).collect();
-        }
-        let slots: Vec<Mutex<Option<TrialResult>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        break;
-                    }
-                    let result = run_trial(i, &specs[i]);
-                    *slots[i].lock().expect("unpoisoned slot") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner().expect("unpoisoned slot").expect("every slot was claimed")
-            })
-            .collect()
-    }
-}
-
 /// The process's resident-set high-water mark (`VmHWM`, kB) from
 /// `/proc/self/status`; 0 where the proc filesystem is unavailable.
 fn vm_hwm_kb() -> u64 {
@@ -214,23 +98,10 @@ fn rate(trials: usize, wall: f64) -> f64 {
     trials as f64 / wall.max(1e-9)
 }
 
-/// Two trial results agree bit for bit on everything seeded (wall-clock
-/// excluded, by definition).
-fn trials_identical(a: &TrialResult, b: &TrialResult) -> bool {
-    a.index == b.index
-        && a.seed == b.seed
-        && a.error.to_bits() == b.error.to_bits()
-        && a.stats == b.stats
-        && a.energy_quanta == b.energy_quanta
-        && a.fault_counts == b.fault_counts
-        && a.panic == b.panic
-}
-
 struct EngineRow {
     threads: usize,
     chunk: usize,
     trials: usize,
-    slot_per_sec: f64,
     streamed_per_sec: f64,
     peak_buffered: usize,
     buffer_capacity: usize,
@@ -261,47 +132,12 @@ fn main() {
     let _ = std::fs::remove_file(&ndjson_path);
     let mem_hwm_kb = vm_hwm_kb();
 
-    // -- identity: slot replica vs in-memory engine vs streamed engine.
-    let id_trials = 400;
-    let id_specs: Vec<TrialSpec> = (0..id_trials).map(|i| tiny_spec(&app, &reference, i)).collect();
-    let from_slots = slot::run_campaign(&id_specs, 2);
-    let in_memory = trials::run_campaign_with(&id_specs, &CampaignOptions::with_threads(2));
-    let id_source = SpecFn::new(id_trials, |i| tiny_spec(&app, &reference, i));
-    let mut collected = VecSink::default();
-    let streamed = trials::run_campaign_streamed(
-        &id_source,
-        &CampaignOptions { threads: 2, chunk: 16, ..CampaignOptions::default() },
-        &mut collected,
-    )
-    .expect("the in-memory sink cannot fail");
-    let identical = from_slots.len() == id_trials
-        && in_memory.trials.len() == id_trials
-        && collected.trials.len() == id_trials
-        && from_slots
-            .iter()
-            .zip(&in_memory.trials)
-            .zip(&collected.trials)
-            .all(|((a, b), c)| trials_identical(a, b) && trials_identical(b, c))
-        && in_memory.merged_stats == streamed.merged_stats;
-    if !identical {
-        eprintln!("campaign_bench: engines disagree — the streaming runner is broken");
-        std::process::exit(1);
-    }
-
-    // -- engine grid: streamed trials/sec vs the slot replica per thread
-    // count, across chunk sizes.
+    // -- engine grid: trials/sec per thread count, across chunk sizes.
     let perf_trials: usize = if quick { 2_000 } else { 100_000 };
     let thread_counts: &[usize] = if opts.threads != 0 { &[opts.threads] } else { &[1, 2, 4] };
     let chunks: &[usize] = if opts.chunk != 0 { &[opts.chunk] } else { &[1, 16, 64] };
     let mut rows: Vec<EngineRow> = Vec::new();
     for &threads in thread_counts {
-        let specs: Vec<TrialSpec> =
-            (0..perf_trials).map(|i| tiny_spec(&app, &reference, i)).collect();
-        let start = Instant::now();
-        let retained = slot::run_campaign(&specs, threads);
-        let slot_per_sec = rate(retained.len(), start.elapsed().as_secs_f64());
-        drop(retained);
-        drop(specs);
         for &chunk in chunks {
             let source = SpecFn::new(perf_trials, |i| tiny_spec(&app, &reference, i));
             let run_opts = CampaignOptions { threads, chunk, ..CampaignOptions::default() };
@@ -313,7 +149,6 @@ fn main() {
                 threads,
                 chunk: summary.chunk,
                 trials: perf_trials,
-                slot_per_sec,
                 streamed_per_sec,
                 peak_buffered: summary.peak_buffered,
                 buffer_capacity: summary.buffer_capacity,
@@ -328,22 +163,14 @@ fn main() {
             vec![
                 r.threads.to_string(),
                 r.chunk.to_string(),
-                format!("{:.0}", r.slot_per_sec),
                 format!("{:.0}", r.streamed_per_sec),
-                format!("{:.2}x", r.streamed_per_sec / r.slot_per_sec),
                 format!("{}/{}", r.peak_buffered, r.buffer_capacity),
             ]
         })
         .collect();
     println!("Campaign engine throughput ({perf_trials} trials, synthetic generator-backed app)");
     println!();
-    println!(
-        "{}",
-        render_table(
-            &["threads", "chunk", "slot/s", "streamed/s", "speedup", "window"],
-            &table_rows
-        )
-    );
+    println!("{}", render_table(&["threads", "chunk", "streamed/s", "window"], &table_rows));
     println!(
         "memory: {} trials -> NDJSON ({:.1} MB) at {:.0} trials/s on {} threads; \
          peak reorder window {}/{} results, VmHWM {:.1} MB",
@@ -355,14 +182,12 @@ fn main() {
         mem.buffer_capacity,
         mem_hwm_kb as f64 / 1e3,
     );
-    println!("identity: slot replica == in-memory engine == streamed engine ({id_trials} trials)");
 
     // -- JSON report.
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"enerj-campaignperf/1\",");
+    let _ = writeln!(json, "  \"schema\": \"enerj-campaignperf/2\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"identical\": {identical},");
     let _ = writeln!(json, "  \"memory\": {{");
     let _ = writeln!(json, "    \"trials\": {},", mem.trials);
     let _ = writeln!(json, "    \"threads\": {},", mem.threads);
@@ -379,16 +204,9 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"threads\": {}, \"chunk\": {}, \"trials\": {}, \
-             \"slot_trials_per_sec\": {:.3}, \"streamed_trials_per_sec\": {:.3}, \
-             \"speedup\": {:.4}, \"peak_buffered\": {}, \"buffer_capacity\": {}}}{comma}",
-            r.threads,
-            r.chunk,
-            r.trials,
-            r.slot_per_sec,
-            r.streamed_per_sec,
-            r.streamed_per_sec / r.slot_per_sec,
-            r.peak_buffered,
-            r.buffer_capacity,
+             \"streamed_trials_per_sec\": {:.3}, \"peak_buffered\": {}, \
+             \"buffer_capacity\": {}}}{comma}",
+            r.threads, r.chunk, r.trials, r.streamed_per_sec, r.peak_buffered, r.buffer_capacity,
         );
     }
     let _ = writeln!(json, "  ]");

@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use enerj_bench::json::Json;
+use enerj_apps::json::Json;
 use enerj_bench::render_table;
 use enerj_hw::trace::FaultKind;
 

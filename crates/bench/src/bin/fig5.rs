@@ -7,7 +7,7 @@
 //! record is written to `results/BENCH_fig5.json`.
 
 use enerj_apps::all_apps;
-use enerj_apps::trials::run_level_campaign_with;
+use enerj_apps::trials::{run_campaign, LevelGrid};
 use enerj_bench::cli::Options;
 use enerj_bench::{err3, finish_campaign, render_table};
 use enerj_hw::config::Level;
@@ -15,7 +15,8 @@ use enerj_hw::config::Level;
 fn main() {
     let opts = Options::parse(std::env::args(), 20);
     let apps = all_apps();
-    let report = run_level_campaign_with(&apps, &Level::ALL, opts.runs, &opts.campaign_options());
+    let grid = LevelGrid::new(&apps, &Level::ALL, opts.runs, opts.threads);
+    let report = run_campaign(&grid, &opts.campaign_options());
 
     let mut rows = Vec::new();
     for app in &apps {

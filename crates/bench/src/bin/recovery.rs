@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use enerj_apps::all_apps;
 use enerj_apps::recovery::{chaos_config, Policy};
-use enerj_apps::trials::{run_campaign_with, TrialSpec};
+use enerj_apps::trials::{run_campaign, TrialSpec};
 use enerj_bench::cli::Options;
 use enerj_bench::{finish_campaign, render_table};
 use enerj_hw::config::HwConfig;
@@ -69,7 +69,7 @@ fn main() {
             );
         }
     }
-    let report = run_campaign_with(&specs, &opts.campaign_options());
+    let report = run_campaign(specs.as_slice(), &opts.campaign_options());
 
     let mut rows = Vec::new();
     let mut failing_total = 0usize;

@@ -33,7 +33,7 @@ use enerj_apps::scheduler::{
     profile_workload, run_scheduled, AppProfile, SchedLevel, SchedOutcome, SchedulerConfig,
     Workload,
 };
-use enerj_apps::trials::{run_campaign_with, CampaignOptions, TrialResult};
+use enerj_apps::trials::{run_campaign, CampaignOptions, TrialResult};
 use enerj_bench::sched::{BaselineRow, SchedReport, ScheduledRow};
 use enerj_bench::{bench_report_path, render_table, Options};
 use enerj_hw::energy::QuantaMeter;
@@ -121,7 +121,7 @@ fn main() -> ExitCode {
     // Static single-level baselines: same apps, same seeds, no scheduler.
     let mut baselines = Vec::new();
     for level in SchedLevel::ALL {
-        let report = run_campaign_with(&workload.static_specs(level), &campaign_opts);
+        let report = run_campaign(workload.static_specs(level).as_slice(), &campaign_opts);
         let mean_error = report.mean_error();
         baselines.push((level, meter.spent(&report.energy_quanta_totals()), mean_error));
     }

@@ -9,7 +9,7 @@
 //! `results/BENCH_table3.json`.
 
 use enerj_apps::all_apps;
-use enerj_apps::trials::{run_campaign_with, TrialSpec};
+use enerj_apps::trials::{run_campaign, TrialSpec};
 use enerj_bench::cli::Options;
 use enerj_bench::{finish_campaign, pct, render_table};
 
@@ -17,7 +17,7 @@ fn main() {
     let opts = Options::parse(std::env::args(), 1);
     let apps = all_apps();
     let specs: Vec<TrialSpec> = apps.iter().map(TrialSpec::reference).collect();
-    let report = run_campaign_with(&specs, &opts.campaign_options());
+    let report = run_campaign(specs.as_slice(), &opts.campaign_options());
 
     let mut rows = Vec::new();
     for (app, trial) in apps.iter().zip(&report.trials) {

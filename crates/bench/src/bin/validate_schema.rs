@@ -13,7 +13,7 @@
 //! Validates each `--report` against `enerj-campaign/5`, each `--fault-log`
 //! against the NDJSON fault-event schema, each `--hwperf` against the
 //! `enerj-hwperf/2` throughput-report schema, each `--campaignperf`
-//! against the `enerj-campaignperf/1` campaign-engine report schema
+//! against the `enerj-campaignperf/2` campaign-engine report schema
 //! (including the engine bit-identity verdict and the bounded reorder
 //! window), each `--sched` against the `enerj-sched/1`
 //! budget-scheduling report schema (including the scheduler's own
@@ -31,7 +31,7 @@
 
 use std::process::ExitCode;
 
-use enerj_bench::json::Json;
+use enerj_apps::json::Json;
 use enerj_bench::validate::{
     validate_campaign_report, validate_campaignperf_report, validate_fault_log,
     validate_hwperf_report, validate_sched_report, validate_serveperf_report,
@@ -133,7 +133,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 let parsed = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
                 let rows =
                     validate_campaignperf_report(&parsed).map_err(|e| format!("{path}: {e}"))?;
-                println!("{path}: OK (enerj-campaignperf/1, {rows} engine rows)");
+                println!("{path}: OK (enerj-campaignperf/2, {rows} engine rows)");
                 checked += 1;
             }
             "--sched" => {

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod json;
 pub mod sched;
 pub mod validate;
 
@@ -40,6 +39,9 @@ use std::path::{Path, PathBuf};
 use enerj_apps::trials::CampaignReport;
 
 pub use cli::Options;
+/// The workspace JSON module, re-exported under its former path for the
+/// benchmark package's tests, which import `enerj_bench::json`.
+pub use enerj_apps::json;
 
 /// The repository's `results/` directory (resolved relative to this crate,
 /// so it lands at the workspace root from any working directory).

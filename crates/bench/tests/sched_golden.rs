@@ -5,8 +5,8 @@
 
 use std::path::PathBuf;
 
+use enerj_apps::json::Json;
 use enerj_apps::scheduler::SchedLevel;
-use enerj_bench::json::Json;
 use enerj_bench::sched::{BaselineRow, SchedReport, ScheduledRow};
 use enerj_bench::validate::validate_sched_report;
 use enerj_hw::energy::QuantaMeter;

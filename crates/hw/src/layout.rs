@@ -231,6 +231,21 @@ mod tests {
         assert!(fine.approx_fraction() >= coarse.approx_fraction());
     }
 
+    /// The line-size ablation for a 4 KiB approximate array (512 × 8-byte
+    /// elements behind the 16-byte header): only the header's line stays
+    /// precise, so coarser lines strand more approximate bytes on it.
+    #[test]
+    fn line_size_ablation_approx_fractions() {
+        for (line, on_approx, fraction) in
+            [(16, 4096, "0.996"), (32, 4080, "0.992"), (64, 4048, "0.984"), (128, 3984, "0.969")]
+        {
+            let l = layout_array(8, 512, true, line, ARRAY_HEADER_BYTES);
+            assert_eq!(l.total_bytes(), 4112, "line {line}");
+            assert_eq!(l.approx_bytes_on_approx_lines, on_approx, "line {line}");
+            assert_eq!(format!("{:.3}", l.approx_fraction()), fraction, "line {line}");
+        }
+    }
+
     #[test]
     fn empty_array_occupies_header_line() {
         let l = layout_array(8, 0, true, 64, ARRAY_HEADER_BYTES);

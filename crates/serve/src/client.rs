@@ -9,7 +9,7 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use enerj_bench::json::Json;
+use enerj_apps::json::Json;
 
 /// A parsed response: status code plus body.
 #[derive(Debug)]

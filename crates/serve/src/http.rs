@@ -12,6 +12,8 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
+use enerj_apps::json::json_string;
+
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -172,25 +174,6 @@ pub fn write_stream_head(stream: &mut TcpStream) -> io::Result<()> {
     stream.flush()
 }
 
-/// Escapes a string for embedding in the hand-rolled JSON emitters.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A retriable-or-not service error as the standard JSON error body:
 /// `{"error": ..., "retriable": ..., "backoff_ms": ...}`. Every rejected
 /// request carries one, so clients can distinguish "try again later"
@@ -198,8 +181,8 @@ pub fn json_escape(s: &str) -> String {
 pub fn error_body(error: &str, detail: &str, retriable: bool, backoff_ms: Option<u64>) -> String {
     format!(
         "{{\"error\":{},\"detail\":{},\"retriable\":{},\"backoff_ms\":{}}}",
-        json_escape(error),
-        json_escape(detail),
+        json_string(error),
+        json_string(detail),
         retriable,
         match backoff_ms {
             Some(ms) => ms.to_string(),
@@ -228,9 +211,9 @@ mod tests {
     #[test]
     fn error_bodies_are_well_formed_json() {
         let body = error_body("queue_full", "12 jobs pending", true, Some(500));
-        let parsed = enerj_bench::json::Json::parse(&body).expect("valid JSON");
+        let parsed = enerj_apps::json::Json::parse(&body).expect("valid JSON");
         assert_eq!(parsed.get("error").and_then(|e| e.as_str()), Some("queue_full"));
-        assert_eq!(parsed.get("retriable"), Some(&enerj_bench::json::Json::Bool(true)));
+        assert_eq!(parsed.get("retriable"), Some(&enerj_apps::json::Json::Bool(true)));
         assert_eq!(parsed.get("backoff_ms").and_then(|b| b.as_i128()), Some(500));
     }
 }

@@ -30,8 +30,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::http::json_escape;
-use enerj_bench::json::Json;
+use enerj_apps::json::{json_string, Json};
 use enerj_hw::quanta::EnergyQuanta;
 
 /// Seed/prime pair of FNV-1a 64 — the integrity hash on every chunk record.
@@ -188,7 +187,7 @@ impl Journal {
     pub fn append_verdict(&mut self, verdict: &str, trials_done: usize) -> io::Result<()> {
         let line = format!(
             "{{\"rec\":\"verdict\",\"verdict\":{},\"trials_done\":{}}}\n",
-            json_escape(verdict),
+            json_string(verdict),
             trials_done,
         );
         self.journal.write_all(line.as_bytes())?;

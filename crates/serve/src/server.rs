@@ -49,6 +49,7 @@ use crate::http;
 use crate::journal::{self, fnv1a, ChunkRecord, Journal};
 use crate::spec::{JobSpec, OverBudget};
 use crate::tenant::{TenantConfig, TenantState};
+use enerj_apps::json::{json_f64, json_string};
 use enerj_apps::scheduler::SchedLevel;
 use enerj_apps::trials::{
     run_campaign_streamed, trial_json, CampaignOptions, SpecFn, TrialResult, TrialSink,
@@ -459,7 +460,7 @@ impl Server {
                         200,
                         &format!(
                             "{{\"job_id\":{},\"accepted\":true,\"trials\":{trials}}}",
-                            http::json_escape(&id)
+                            json_string(&id)
                         ),
                     ),
                     Err((status, body)) => http::write_json(stream, status, &body),
@@ -622,18 +623,18 @@ impl Server {
              \"trials_total\":{},\"trials_committed\":{},\"chunks_committed\":{},\
              \"committed_bytes\":{},\"mean_error\":{},\"panics\":{},\
              \"quanta_total\":{},\"quanta_baseline\":{},\"degrade\":{}}}",
-            http::json_escape(id),
-            http::json_escape(&job.spec.tenant),
-            http::json_escape(if job.verdict.is_some() { "done" } else { "running" }),
+            json_string(id),
+            json_string(&job.spec.tenant),
+            json_string(if job.verdict.is_some() { "done" } else { "running" }),
             match &job.verdict {
-                Some(v) => http::json_escape(v),
+                Some(v) => json_string(v),
                 None => "null".to_owned(),
             },
             job.spec.total_trials(),
             job.trials_committed(),
             job.next_commit,
             job.committed_bytes,
-            finite_json(job.mean_error()),
+            json_f64(job.mean_error()),
             job.panics,
             job.quanta_total,
             job.quanta_baseline,
@@ -656,12 +657,12 @@ impl Server {
             "{{\"schema\":\"enerj-serve-summary/1\",\"job_id\":{},\"tenant\":{},\
              \"verdict\":{},\"trials_total\":{},\"trials_done\":{},\"mean_error\":{},\
              \"panics\":{},\"quanta_total\":{},\"quanta_baseline\":{},\"degrade_final\":{}}}",
-            http::json_escape(id),
-            http::json_escape(&job.spec.tenant),
-            http::json_escape(verdict),
+            json_string(id),
+            json_string(&job.spec.tenant),
+            json_string(verdict),
             job.spec.total_trials(),
             job.trials_committed(),
-            finite_json(job.mean_error()),
+            json_f64(job.mean_error()),
             job.panics,
             job.quanta_total,
             job.quanta_baseline,
@@ -721,27 +722,11 @@ impl Server {
     }
 }
 
-/// Formats an f64 for JSON, clamping non-finite values (mirrors the
-/// engine's own `json_f64` policy).
-fn finite_json(x: f64) -> String {
-    if x.is_nan() {
-        "1.0".to_owned()
-    } else if x.is_infinite() {
-        if x > 0.0 {
-            "1e308".to_owned()
-        } else {
-            "-1e308".to_owned()
-        }
-    } else {
-        format!("{x}")
-    }
-}
-
 fn tenant_json(t: &TenantState) -> String {
     format!(
         "{{\"tenant\":{},\"quota\":{},\"spent\":{},\"remaining\":{},\
          \"active_jobs\":{},\"over_budget\":{}}}",
-        http::json_escape(&t.config.name),
+        json_string(&t.config.name),
         match t.config.quota {
             Some(q) => q.to_string(),
             None => "null".to_owned(),
@@ -752,7 +737,7 @@ fn tenant_json(t: &TenantState) -> String {
             None => "null".to_owned(),
         },
         t.active_jobs,
-        http::json_escape(t.config.over_budget.as_str()),
+        json_string(t.config.over_budget.as_str()),
     )
 }
 

@@ -105,7 +105,7 @@ fn status_field(client: &Client, job: &str, field: &str) -> i128 {
         .unwrap_or(-1)
 }
 
-/// Acceptance criterion 1: kill -9 mid-campaign at a randomized committed
+/// Acceptance requirement 1: kill -9 mid-campaign at a randomized committed
 /// boundary, restart, resume — the full NDJSON stream is byte-identical
 /// to an uninterrupted run on a separate server, the exact quanta agree,
 /// and a client resuming with `from_line` sees no duplicated or lost line.
@@ -181,7 +181,7 @@ fn kill_resume_stream_is_byte_identical() {
     resumed.shutdown();
 }
 
-/// Acceptance criterion 2 (stop policy): a tenant crossing its quota gets
+/// Acceptance requirement 2 (stop policy): a tenant crossing its quota gets
 /// an `over_quota` verdict with partial results at a chunk boundary, and
 /// further submissions are rejected 403 non-retriable while an unrelated
 /// tenant on the same server is untouched.
@@ -282,7 +282,7 @@ fn queue_full_rejection_is_retriable_with_backoff() {
     d.shutdown();
 }
 
-/// Acceptance criterion 3a: a worker that dies mid-chunk (panic) loses its
+/// Acceptance requirement 3a: a worker that dies mid-chunk (panic) loses its
 /// lease; the chunk is reclaimed, re-run by a surviving worker, and the
 /// output is byte-identical to a run on a healthy server.
 #[test]
@@ -306,7 +306,7 @@ fn dead_worker_chunks_are_reclaimed_via_leases() {
     chaos.shutdown();
 }
 
-/// Acceptance criterion 3b: a *stalled* worker (alive but wedged past its
+/// Acceptance requirement 3b: a *stalled* worker (alive but wedged past its
 /// lease) is treated the same — the chunk re-runs elsewhere and the
 /// stalled worker's late result is discarded by the generation check, so
 /// nothing is committed twice.
@@ -336,7 +336,7 @@ fn stalled_worker_chunks_are_reclaimed_and_not_double_committed() {
     chaos.shutdown();
 }
 
-/// Acceptance criterion 2 (chaos): a client that connects, reads a few
+/// Acceptance requirement 2 (chaos): a client that connects, reads a few
 /// bytes and vanishes — and a slow reader that never drains its socket —
 /// disturb neither the campaign nor other tenants.
 #[test]
@@ -427,5 +427,30 @@ fn bad_specs_are_rejected_with_typed_errors() {
             Submitted::Accepted { .. } => panic!("must reject: {bad}"),
         }
     }
+    d.shutdown();
+}
+
+/// A body nested ten thousand levels deep is one more malformed spec: a
+/// 400, and the server keeps serving. The parser must not recurse off the
+/// end of the connection thread's stack, which would abort the daemon and
+/// every job and tenant with it.
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_survives() {
+    let dir = tempdir("deepjson");
+    let mut d = Daemon::start(&dir, &["--workers", "1"]);
+    let client = d.client();
+    for deep in ["[".repeat(10_000), "{\"a\":".repeat(10_000)] {
+        match client.submit(&deep).expect("submit") {
+            Submitted::Rejected { status, error, retriable, .. } => {
+                assert_eq!(status, 400);
+                assert_eq!(error, "bad_request");
+                assert!(!retriable);
+            }
+            Submitted::Accepted { .. } => panic!("must reject a 10,000-deep body"),
+        }
+    }
+    assert_eq!(client.healthz().expect("healthz after the deep body").status, 200);
+    let job = submit_ok(&client, &spec("t", "\"Mild\"", 1, 1, ""));
+    assert_eq!(client.wait(&job, WAIT).expect("job finishes"), "complete");
     d.shutdown();
 }
