@@ -11,6 +11,8 @@ use std::time::{Duration, Instant};
 
 use enerj_apps::json::Json;
 
+use crate::http;
+
 /// A parsed response: status code plus body.
 #[derive(Debug)]
 pub struct Response {
@@ -125,6 +127,14 @@ impl Client {
         self.request("GET", &format!("/jobs/{job_id}"), b"")
     }
 
+    /// The job's status document once it has a verdict or `wait` passes,
+    /// whichever is first (the server caps the wait at
+    /// [`MAX_STATUS_WAIT_MS`](crate::server::MAX_STATUS_WAIT_MS)).
+    pub fn status_wait(&self, job_id: &str, wait: Duration) -> io::Result<Response> {
+        let wait_ms = wait.as_micros().div_ceil(1000);
+        self.request("GET", &format!("/jobs/{job_id}?wait_ms={wait_ms}"), b"")
+    }
+
     /// The finished job's summary document (409 while running).
     pub fn summary(&self, job_id: &str) -> io::Result<Response> {
         self.request("GET", &format!("/jobs/{job_id}/summary"), b"")
@@ -162,7 +172,7 @@ impl Client {
         );
         stream.write_all(head.as_bytes())?;
         stream.flush()?;
-        let (status, mut body_prefix) = read_head(&mut stream)?;
+        let (status, _, mut body_prefix) = read_head(&mut stream)?;
         if status != 200 {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
@@ -186,80 +196,43 @@ impl Client {
         }
     }
 
-    /// Polls until the job is done (or `timeout` passes), returning the
-    /// final verdict string.
+    /// Long-polls until the job is done (or `timeout` passes), returning
+    /// the final verdict string. Each poll waits at most half the socket
+    /// timeout, so the server always answers before the socket gives up.
     pub fn wait(&self, job_id: &str, timeout: Duration) -> io::Result<String> {
         let start = Instant::now();
         loop {
-            let resp = self.status(job_id)?;
-            if resp.status == 200 {
-                let doc = resp.json().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                if let Some(v) = doc.get("verdict").and_then(|v| v.as_str()) {
-                    return Ok(v.to_owned());
-                }
+            let left = timeout.saturating_sub(start.elapsed());
+            let resp = self.status_wait(job_id, left.min(self.timeout / 2))?;
+            if resp.status != 200 {
+                return Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("status of job {job_id} failed with status {}", resp.status),
+                ));
             }
-            if start.elapsed() > timeout {
+            let doc = resp.json().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            if let Some(v) = doc.get("verdict").and_then(|v| v.as_str()) {
+                return Ok(v.to_owned());
+            }
+            if left.is_zero() {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!("job {job_id} not done after {timeout:?}"),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(25));
         }
     }
 }
 
-/// Reads the response head; returns the status and any body bytes that
-/// arrived in the same reads.
-fn read_head(stream: &mut TcpStream) -> io::Result<(u16, Vec<u8>)> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "response truncated"))
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(e),
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-        if head.len() > 64 * 1024 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "response head too large"));
-        }
-    }
+/// Upper bound on a response head.
+const MAX_RESPONSE_HEAD_BYTES: usize = 64 * 1024;
+
+/// Reads the response head; returns the status, the `Content-Length` when
+/// one was sent, and any body bytes that arrived in the same reads.
+fn read_head(stream: &mut impl Read) -> io::Result<(u16, Option<usize>, Vec<u8>)> {
+    let (head, body_prefix) = http::read_head(stream, MAX_RESPONSE_HEAD_BYTES)?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "response truncated"))?;
     let text = String::from_utf8_lossy(&head);
-    let status = text
-        .lines()
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, Vec::new()))
-}
-
-/// Reads a whole bounded response (head + `Content-Length` body, or body
-/// to EOF when no length was sent).
-fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "response truncated"))
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(e),
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-        if head.len() > 64 * 1024 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "response head too large"));
-        }
-    }
-    let text = String::from_utf8_lossy(&head).into_owned();
     let status = text
         .lines()
         .next()
@@ -272,17 +245,44 @@ fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
             .eq_ignore_ascii_case("content-length")
             .then(|| value.trim().parse::<usize>().ok())?
     });
-    let body = match content_length {
-        Some(len) => {
-            let mut body = vec![0u8; len];
-            stream.read_exact(&mut body)?;
-            body
-        }
+    Ok((status, content_length, body_prefix))
+}
+
+/// Reads a whole bounded response (head + `Content-Length` body, or body
+/// to EOF when no length was sent).
+fn read_response(stream: &mut impl Read) -> io::Result<Response> {
+    let (status, content_length, mut body) = read_head(stream)?;
+    match content_length {
+        Some(len) => http::read_body(stream, &mut body, len)?,
         None => {
-            let mut body = Vec::new();
             stream.read_to_end(&mut body)?;
-            body
         }
-    };
+    }
     Ok(Response { status, body })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const RESPONSE: &[u8] =
+        b"HTTP/1.1 409 Conflict\r\nContent-Type: application/json\r\nContent-Length: 9\r\n\r\n{\"a\":[1]}";
+
+    #[test]
+    fn response_split_across_two_writes_at_every_offset() {
+        for k in 0..=RESPONSE.len() {
+            let mut peer = (&RESPONSE[..k]).chain(&RESPONSE[k..]);
+            let resp = read_response(&mut peer).unwrap_or_else(|e| panic!("split at {k}: {e}"));
+            assert_eq!(resp.status, 409);
+            assert_eq!(resp.body, b"{\"a\":[1]}");
+        }
+    }
+
+    #[test]
+    fn stream_head_keeps_the_body_bytes_that_came_with_it() {
+        let bytes = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{\"index\":0}\n{\"in";
+        let (status, len, prefix) = read_head(&mut &bytes[..]).expect("head");
+        assert_eq!((status, len), (200, None));
+        assert_eq!(prefix, b"{\"index\":0}\n{\"in");
+    }
 }

@@ -49,29 +49,10 @@ impl Request {
 ///
 /// Propagates socket errors (including read timeouts) and rejects oversized
 /// or malformed heads/bodies with `InvalidData`.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // Read byte-at-a-time until CRLFCRLF: simple and safe (the head is
-    // tiny and reads are buffered by the kernel socket buffer).
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                if head.is_empty() {
-                    return Ok(None);
-                }
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "request head truncated"));
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(e),
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "request head too large"));
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-    }
+pub fn read_request(stream: &mut impl Read) -> io::Result<Option<Request>> {
+    let Some((head, mut body)) = read_head(stream, MAX_HEAD_BYTES)? else {
+        return Ok(None);
+    };
     let head = String::from_utf8(head)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "request head is not UTF-8"))?;
     let mut lines = head.split("\r\n");
@@ -111,9 +92,61 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     if content_length > MAX_BODY_BYTES {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "request body too large"));
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    read_body(stream, &mut body, content_length)?;
     Ok(Some(Request { method, path, query, headers, body }))
+}
+
+/// Reads a message head up to and including its blank line, in buffered
+/// reads rather than one read per byte. Returns the head and the bytes that
+/// arrived after it, which begin the body; `Ok(None)` when the peer closed
+/// the connection before sending a byte.
+///
+/// # Errors
+///
+/// Propagates socket errors, and rejects a head longer than `max` bytes with
+/// `InvalidData` and a head cut off by EOF with `UnexpectedEof`.
+pub(crate) fn read_head(
+    stream: &mut impl Read,
+    max: usize,
+) -> io::Result<Option<(Vec<u8>, Vec<u8>)>> {
+    let mut buf = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 4096];
+    loop {
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            if buf.is_empty() {
+                return Ok(None);
+            }
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "message head truncated"));
+        }
+        // The blank line may straddle two reads: rescan the last three bytes.
+        let from = buf.len().saturating_sub(3);
+        buf.extend_from_slice(&chunk[..n]);
+        let end = buf[from..].windows(4).position(|w| w == b"\r\n\r\n").map(|p| from + p + 4);
+        if end.unwrap_or(buf.len()) > max {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "message head too large"));
+        }
+        if let Some(end) = end {
+            let rest = buf.split_off(end);
+            return Ok(Some((buf, rest)));
+        }
+    }
+}
+
+/// Completes a `len`-byte body from `prefix`, the bytes that arrived with
+/// the head; bytes past `len` are dropped.
+///
+/// # Errors
+///
+/// Propagates socket errors, including EOF before `len` bytes.
+pub(crate) fn read_body(
+    stream: &mut impl Read,
+    prefix: &mut Vec<u8>,
+    len: usize,
+) -> io::Result<()> {
+    let have = prefix.len().min(len);
+    prefix.resize(len, 0);
+    stream.read_exact(&mut prefix[have..])
 }
 
 fn parse_query(q: &str) -> Vec<(String, String)> {
@@ -194,6 +227,66 @@ pub fn error_body(error: &str, detail: &str, retriable: bool, backoff_ms: Option
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const POST: &[u8] =
+        b"POST /jobs?from_line=3 HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\n{\"runs\":12}";
+
+    fn assert_post(req: &Request) {
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/jobs");
+        assert_eq!(req.query("from_line"), Some("3"));
+        assert_eq!(req.headers.len(), 2);
+        assert_eq!(req.body, b"{\"runs\":12}");
+    }
+
+    #[test]
+    fn head_and_body_in_one_write() {
+        let req = read_request(&mut &POST[..]).expect("parses").expect("some");
+        assert_post(&req);
+    }
+
+    #[test]
+    fn head_split_across_two_writes_at_every_offset() {
+        for k in 1..POST.len() {
+            // `chain` reads from the second piece only once the first is spent.
+            let mut peer = (&POST[..k]).chain(&POST[k..]);
+            let req = read_request(&mut peer).unwrap_or_else(|e| panic!("split at {k}: {e}"));
+            assert_post(&req.expect("some"));
+        }
+    }
+
+    #[test]
+    fn bytes_past_the_declared_body_are_dropped() {
+        let mut bytes = POST.to_vec();
+        bytes.extend_from_slice(b"trailing garbage");
+        let req = read_request(&mut &bytes[..]).expect("parses").expect("some");
+        assert_post(&req);
+    }
+
+    #[test]
+    fn oversized_head_is_refused() {
+        let mut head = b"GET / HTTP/1.1\r\nX: ".to_vec();
+        head.resize(MAX_HEAD_BYTES - 4, b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        assert_eq!(head.len(), MAX_HEAD_BYTES);
+        assert!(read_request(&mut &head[..]).is_ok(), "a head at the cap is fine");
+        head.insert(20, b'a');
+        let err = read_request(&mut &head[..]).expect_err("one byte over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A peer that never ends its head is cut off too, not buffered.
+        let endless = vec![b'a'; MAX_HEAD_BYTES + 5000];
+        let err = read_request(&mut &endless[..]).expect_err("no blank line");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn truncated_head_and_body_are_errors_and_silence_is_none() {
+        assert!(read_request(&mut &b""[..]).expect("clean close").is_none());
+        let err = read_request(&mut &POST[..20]).expect_err("cut head");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let err = read_request(&mut &POST[..POST.len() - 1]).expect_err("cut body");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
 
     #[test]
     fn query_parsing() {

@@ -36,11 +36,21 @@
 //! back — fails the generation check at commit and is discarded. The same
 //! generation mechanism discards results computed under a stale degrade
 //! rung after an over-budget degradation.
+//!
+//! # Wake-ups
+//!
+//! No thread sleep-polls. Workers wait on `work` for a claimable chunk,
+//! stream tailers and long-polling status readers on `commits` for new
+//! committed bytes or a verdict, and the supervisor on `clock` until the
+//! earliest lease expiry or job deadline. Every state transition notifies
+//! the condvar of the threads it can unblock, after releasing the lock.
+//! The accept loop blocks in `accept()`; the last thread to leave a drain
+//! wakes it with one loopback connection.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -185,8 +195,48 @@ struct State {
     /// Round-robin cursor over jobs, for cross-tenant claim fairness.
     rr: usize,
     draining: bool,
+    /// Threads the accept loop must outlive on a drain: live workers, plus
+    /// any `POST /shutdown` handler still writing its answer.
+    live: usize,
+    /// When the sleeping supervisor next wakes on its own; `None` while it
+    /// waits for no clock event at all.
+    clock_wake: Option<Instant>,
     /// Global claim counter (drives the chaos test hooks).
     claims: u64,
+}
+
+impl State {
+    /// Whether a drain has finished and the accept loop may stop.
+    fn drained(&self) -> bool {
+        self.draining && self.live == 0
+    }
+
+    /// Notes a clock-driven event at `at`; true when the supervisor sleeps
+    /// past it and must be woken to reschedule.
+    fn schedule(&mut self, at: Instant) -> bool {
+        if self.clock_wake.is_some_and(|w| w <= at) {
+            return false;
+        }
+        self.clock_wake = Some(at);
+        true
+    }
+
+    /// The earliest pending lease expiry or job deadline.
+    fn next_clock_event(&self) -> Option<Instant> {
+        self.jobs
+            .values()
+            .filter(|j| j.verdict.is_none())
+            .flat_map(|j| {
+                j.states
+                    .iter()
+                    .filter_map(|s| match s {
+                        ChunkState::Leased { expires, .. } => Some(*expires),
+                        _ => None,
+                    })
+                    .chain(j.deadline_at)
+            })
+            .min()
+    }
 }
 
 /// A worker's claim on one chunk.
@@ -202,11 +252,22 @@ struct Claim {
     panic_now: bool,
 }
 
+/// Longest `GET /jobs/<id>?wait_ms=N` long-poll the server honours.
+pub const MAX_STATUS_WAIT_MS: u64 = 30_000;
+
 /// The running service.
 pub struct Server {
     cfg: ServerConfig,
+    /// Where a drain's loopback wake-up connects (the listener's address).
+    wake_addr: SocketAddr,
     state: Mutex<State>,
+    /// Workers wait here for a claimable chunk or a drain.
     work: Condvar,
+    /// Stream tailers and status long-polls wait here for committed bytes
+    /// or a verdict.
+    commits: Condvar,
+    /// The supervisor waits here for the next clock event or a drain.
+    clock: Condvar,
 }
 
 impl Server {
@@ -216,11 +277,26 @@ impl Server {
     /// once ready, so harnesses can bind port 0 and discover the port.
     pub fn run(cfg: ServerConfig) -> io::Result<()> {
         fs::create_dir_all(cfg.state_dir.join("jobs"))?;
-        let state = recover_state(&cfg)?;
+        let mut state = recover_state(&cfg)?;
+        state.live = cfg.workers.max(1);
         let listener = TcpListener::bind(&cfg.addr)?;
         let local = listener.local_addr()?;
         fs::write(cfg.state_dir.join("campaignd.addr"), format!("{local}\n"))?;
-        let server = Arc::new(Server { cfg, state: Mutex::new(state), work: Condvar::new() });
+        let mut wake_addr = local;
+        if local.ip().is_unspecified() {
+            wake_addr.set_ip(match local {
+                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let server = Arc::new(Server {
+            cfg,
+            wake_addr,
+            state: Mutex::new(state),
+            work: Condvar::new(),
+            commits: Condvar::new(),
+            clock: Condvar::new(),
+        });
         println!("campaignd listening on {local}");
         io::stdout().flush()?;
 
@@ -241,21 +317,13 @@ impl Server {
                 .expect("spawn supervisor")
         };
 
-        listener.set_nonblocking(true)?;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let srv = Arc::clone(&server);
-                    std::thread::spawn(move || srv.handle_conn(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                    if server.lock().draining && workers.iter().all(|h| h.is_finished()) {
-                        break;
-                    }
-                }
-                Err(e) => return Err(e),
+        for conn in listener.incoming() {
+            let stream = conn?;
+            if server.lock().drained() {
+                break;
             }
+            let srv = Arc::clone(&server);
+            std::thread::spawn(move || srv.handle_conn(stream));
         }
         for h in workers {
             let _ = h.join();
@@ -270,27 +338,51 @@ impl Server {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Counts one thread out of a drain. The last to leave a drain wakes
+    /// the accept loop, which blocks in `accept()`, by connecting to it.
+    fn leave(&self) {
+        let mut st = self.lock();
+        st.live -= 1;
+        let drained = st.drained();
+        drop(st);
+        if drained {
+            if let Err(e) = TcpStream::connect(self.wake_addr) {
+                eprintln!("campaignd: cannot wake the accept loop: {e}");
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Worker pool
     // ------------------------------------------------------------------
 
     fn worker_loop(&self) {
+        /// Leaves the drain however the worker exits, test-hook panics too.
+        struct Leave<'a>(&'a Server);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                self.0.leave();
+            }
+        }
+        let _leave = Leave(self);
         loop {
-            let claim = {
+            let (claim, wake_clock) = {
                 let mut st = self.lock();
                 loop {
-                    let now = Instant::now();
-                    self.reclaim_and_deadlines(&mut st, now);
                     if st.draining {
-                        break None;
+                        break (None, false);
                     }
+                    let now = Instant::now();
                     if let Some(c) = self.claim_next(&mut st, now) {
-                        break Some(c);
+                        let wake_clock = st.schedule(now + self.cfg.lease);
+                        break (Some(c), wake_clock);
                     }
-                    let tick = (self.cfg.lease / 4).max(Duration::from_millis(10));
-                    st = self.work.wait_timeout(st, tick).unwrap_or_else(|e| e.into_inner()).0;
+                    st = self.work.wait(st).unwrap_or_else(|e| e.into_inner());
                 }
             };
+            if wake_clock {
+                self.clock.notify_one();
+            }
             let Some(claim) = claim else { return };
             if claim.panic_now {
                 panic!("test hook: worker killed at claim {}", claim.chunk);
@@ -306,43 +398,32 @@ impl Server {
         }
     }
 
-    /// Ticks even when every worker is wedged in compute: reclaims expired
-    /// leases and fires job deadlines so a stalled pool cannot stall the
-    /// clock-driven transitions too.
+    /// Owns the clock: wakes at the earliest lease expiry or job deadline,
+    /// even when every worker is wedged in compute, so a stalled pool cannot
+    /// stall the clock-driven transitions too. A drain ends it.
     fn supervisor_loop(&self) {
+        let mut st = self.lock();
         loop {
-            std::thread::sleep((self.cfg.lease / 4).max(Duration::from_millis(10)));
-            let mut st = self.lock();
-            let draining = st.draining;
-            self.reclaim_and_deadlines(&mut st, Instant::now());
-            drop(st);
-            self.work.notify_all();
-            if draining {
+            let now = Instant::now();
+            if reclaim_and_deadlines(&mut st, now) {
+                drop(st);
+                self.work.notify_all();
+                self.commits.notify_all();
+                st = self.lock();
+                continue;
+            }
+            if st.draining {
                 return;
             }
-        }
-    }
-
-    /// Returns expired leases to `Pending` (bumping generations so late
-    /// results are discarded) and finalizes jobs past their deadline.
-    fn reclaim_and_deadlines(&self, st: &mut State, now: Instant) {
-        let State { jobs, tenants, .. } = &mut *st;
-        for job in jobs.values_mut() {
-            if job.verdict.is_some() {
-                continue;
-            }
-            if job.deadline_at.is_some_and(|d| now >= d) {
-                finalize(job, tenants, "deadline_exceeded");
-                continue;
-            }
-            for (c, s) in job.states.iter_mut().enumerate() {
-                if let ChunkState::Leased { expires, .. } = s {
-                    if now >= *expires {
-                        job.gens[c] += 1;
-                        *s = ChunkState::Pending;
-                    }
+            let next = st.next_clock_event();
+            st.clock_wake = next;
+            st = match next {
+                Some(at) => {
+                    let timeout = at.saturating_duration_since(now);
+                    self.clock.wait_timeout(st, timeout).unwrap_or_else(|e| e.into_inner()).0
                 }
-            }
+                None => self.clock.wait(st).unwrap_or_else(|e| e.into_inner()),
+            };
         }
     }
 
@@ -418,6 +499,7 @@ impl Server {
         }
         drop(st);
         self.work.notify_all();
+        self.commits.notify_all();
     }
 
     // ------------------------------------------------------------------
@@ -466,10 +548,14 @@ impl Server {
                     Err((status, body)) => http::write_json(stream, status, &body),
                 }
             }
-            ("GET", ["jobs", id]) => match self.job_status_json(id) {
-                Some(body) => http::write_json(stream, 200, &body),
-                None => self.not_found(stream),
-            },
+            ("GET", ["jobs", id]) => {
+                let wait_ms = req.query("wait_ms").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
+                let wait = Duration::from_millis(wait_ms.min(MAX_STATUS_WAIT_MS));
+                match self.job_status_json(id, wait) {
+                    Some(body) => http::write_json(stream, 200, &body),
+                    None => self.not_found(stream),
+                }
+            }
             ("GET", ["jobs", id, "summary"]) => match self.job_summary_json(id) {
                 Some(Ok(body)) => http::write_json(stream, 200, &body),
                 Some(Err(body)) => http::write_json(stream, 409, &body),
@@ -500,11 +586,17 @@ impl Server {
                 http::write_json(stream, 200, &body)
             }
             ("POST", ["shutdown"]) => {
+                // Stay counted in the drain until the answer is written, so
+                // the process cannot exit under it.
                 let mut st = self.lock();
                 st.draining = true;
+                st.live += 1;
                 drop(st);
                 self.work.notify_all();
-                http::write_json(stream, 200, "{\"draining\":true}")
+                self.clock.notify_one();
+                let written = http::write_json(stream, 200, "{\"draining\":true}");
+                self.leave();
+                written
             }
             _ => self.not_found(stream),
         }
@@ -610,13 +702,26 @@ impl Server {
             deadline_at,
         };
         st.jobs.insert(id.clone(), job);
+        let wake_clock = deadline_at.is_some_and(|d| st.schedule(d));
         drop(st);
         self.work.notify_all();
+        if wake_clock {
+            self.clock.notify_one();
+        }
         Ok((id, trials))
     }
 
-    fn job_status_json(&self, id: &str) -> Option<String> {
-        let st = self.lock();
+    /// The job's status document, once it has a verdict or `wait` passes.
+    fn job_status_json(&self, id: &str, wait: Duration) -> Option<String> {
+        let mut st = self.lock();
+        if !wait.is_zero() {
+            let running = |st: &mut State| st.jobs.get(id).is_some_and(|j| j.verdict.is_none());
+            st = self
+                .commits
+                .wait_timeout_while(st, wait, running)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
         let job = st.jobs.get(id)?;
         Some(format!(
             "{{\"job_id\":{},\"tenant\":{},\"state\":{},\"verdict\":{},\
@@ -688,15 +793,12 @@ impl Server {
         http::write_stream_head(stream)?;
         let mut offset = 0u64;
         let mut skip = from_line;
+        let mut st = self.lock();
         loop {
-            let (committed, done) = {
-                let st = self.lock();
-                match st.jobs.get(id) {
-                    Some(j) => (j.committed_bytes, j.verdict.is_some()),
-                    None => return Ok(()),
-                }
-            };
+            let Some(job) = st.jobs.get(id) else { return Ok(()) };
+            let (committed, done) = (job.committed_bytes, job.verdict.is_some());
             if offset < committed {
+                drop(st);
                 let len = ((committed - offset) as usize).min(256 * 1024);
                 let buf = journal::read_output(&dir, offset, len)?;
                 offset += buf.len() as u64;
@@ -713,10 +815,12 @@ impl Server {
                 if start < buf.len() {
                     stream.write_all(&buf[start..])?;
                 }
+                st = self.lock();
             } else if done {
+                drop(st);
                 return stream.flush();
             } else {
-                std::thread::sleep(Duration::from_millis(15));
+                st = self.commits.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         }
     }
@@ -812,6 +916,34 @@ fn run_chunk(claim: &Claim) -> ChunkPayload {
         panics: sink.panics,
         degrade_used: claim.degrade,
     }
+}
+
+/// Returns expired leases to `Pending` (bumping generations so late
+/// results are discarded) and finalizes jobs past their deadline. True when
+/// anything changed.
+fn reclaim_and_deadlines(st: &mut State, now: Instant) -> bool {
+    let State { jobs, tenants, .. } = &mut *st;
+    let mut changed = false;
+    for job in jobs.values_mut() {
+        if job.verdict.is_some() {
+            continue;
+        }
+        if job.deadline_at.is_some_and(|d| now >= d) {
+            finalize(job, tenants, "deadline_exceeded");
+            changed = true;
+            continue;
+        }
+        for (c, s) in job.states.iter_mut().enumerate() {
+            if let ChunkState::Leased { expires, .. } = s {
+                if now >= *expires {
+                    job.gens[c] += 1;
+                    *s = ChunkState::Pending;
+                    changed = true;
+                }
+            }
+        }
+    }
+    changed
 }
 
 /// Commits every chunk that is parked, in order, with the budget check at
@@ -944,6 +1076,8 @@ fn recover_state(cfg: &ServerConfig) -> io::Result<State> {
         next_job_seq: 1,
         rr: 0,
         draining: false,
+        live: 0,
+        clock_wake: None,
         claims: 0,
     };
     let mut dirs: Vec<PathBuf> = fs::read_dir(&jobs_dir)?

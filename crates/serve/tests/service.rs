@@ -8,8 +8,9 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use enerj_apps::json::Json;
 use enerj_serve::client::{Client, Submitted};
 
 const WAIT: Duration = Duration::from_secs(120);
@@ -84,14 +85,16 @@ fn submit_ok(client: &Client, spec: &str) -> String {
 }
 
 fn collect(client: &Client, job: &str, from_line: u64) -> Vec<u8> {
+    try_collect(client, job, from_line).expect("stream")
+}
+
+fn try_collect(client: &Client, job: &str, from_line: u64) -> std::io::Result<Vec<u8>> {
     let mut bytes = Vec::new();
-    client
-        .stream_lines(job, from_line, |line| {
-            bytes.extend_from_slice(line.as_bytes());
-            bytes.push(b'\n');
-        })
-        .expect("stream");
-    bytes
+    client.stream_lines(job, from_line, |line| {
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+    })?;
+    Ok(bytes)
 }
 
 fn status_field(client: &Client, job: &str, field: &str) -> i128 {
@@ -452,5 +455,141 @@ fn deeply_nested_body_is_rejected_and_the_server_survives() {
     assert_eq!(client.healthz().expect("healthz after the deep body").status, 200);
     let job = submit_ok(&client, &spec("t", "\"Mild\"", 1, 1, ""));
     assert_eq!(client.wait(&job, WAIT).expect("job finishes"), "complete");
+    d.shutdown();
+}
+
+/// `POST /shutdown` on an idle daemon drains and exits at once: the
+/// accept loop and the supervisor wake on the drain instead of waiting out
+/// a poll period.
+#[test]
+fn idle_daemon_drains_and_exits_promptly() {
+    let mut d = Daemon::start(&tempdir("idle-drain"), &["--workers", "2"]);
+    let start = Instant::now();
+    assert_eq!(d.client().shutdown().expect("shutdown").status, 200);
+    // Reaped by polling, so a daemon that never wakes fails the test
+    // (and is killed on drop) instead of hanging it.
+    let exit = loop {
+        if let Some(exit) = d.child.try_wait().expect("try_wait") {
+            break exit;
+        }
+        assert!(start.elapsed() < Duration::from_secs(5), "daemon still up 5 s after drain");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let took = start.elapsed();
+    assert!(exit.success(), "drain must exit cleanly, got {exit}");
+    assert!(took < Duration::from_secs(1), "idle drain took {took:?}");
+}
+
+/// The supervisor fires a deadline on time even when every worker is
+/// wedged: the verdict lands well before the stalled claim returns.
+#[test]
+fn deadline_fires_while_every_worker_is_stalled() {
+    let dir = tempdir("deadline-stalled");
+    let mut d = Daemon::start(
+        &dir,
+        &["--workers", "1", "--lease-secs", "30", "--test-stall-claim", "1:3000"],
+    );
+    let client = d.client();
+    let start = Instant::now();
+    let job = submit_ok(&client, &spec("t1", "\"Mild\"", 2, 1, ",\"deadline_secs\":0.5"));
+    assert_eq!(client.wait(&job, WAIT).expect("job"), "deadline_exceeded");
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(2500), "verdict after {took:?}, not before the stall");
+    d.shutdown();
+}
+
+/// Sends one raw request and returns the whole response, head included.
+fn raw_get(addr: &str, target: &str) -> Vec<u8> {
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    raw.write_all(format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes()).expect("send");
+    let mut bytes = Vec::new();
+    raw.read_to_end(&mut bytes).expect("response");
+    bytes
+}
+
+/// A plain status request answers at once with the same bytes as ever;
+/// `wait_ms` long-polls until the verdict or the timeout.
+#[test]
+fn status_answers_at_once_and_long_polls_on_wait_ms() {
+    let dir = tempdir("status-wait");
+    let mut d = Daemon::start(
+        &dir,
+        &["--workers", "1", "--lease-secs", "30", "--test-stall-claim", "1:3000"],
+    );
+    let client = d.client();
+    let job = submit_ok(&client, &spec("t1", "\"Mild\"", 2, 2, ""));
+
+    let start = Instant::now();
+    let plain = raw_get(&d.addr, &format!("/jobs/{job}"));
+    assert!(start.elapsed() < Duration::from_secs(1), "plain GET took {:?}", start.elapsed());
+    let body = format!(
+        "{{\"job_id\":\"{job}\",\"tenant\":\"t1\",\"state\":\"running\",\"verdict\":null,\
+         \"trials_total\":2,\"trials_committed\":0,\"chunks_committed\":0,\
+         \"committed_bytes\":0,\"mean_error\":0,\"panics\":0,\
+         \"quanta_total\":0,\"quanta_baseline\":0,\"degrade\":0}}"
+    );
+    let expected = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
+    assert_eq!(String::from_utf8_lossy(&plain), expected);
+
+    // A short long-poll times out on the running job and says so.
+    let start = Instant::now();
+    let doc = client.status_wait(&job, Duration::from_millis(300)).expect("poll").json().unwrap();
+    assert!(start.elapsed() >= Duration::from_millis(300), "returned before its wait");
+    assert_eq!(doc.get("verdict"), Some(&Json::Null));
+
+    // A long one returns at the verdict, not at its 30 s timeout.
+    let start = Instant::now();
+    let polled = raw_get(&d.addr, &format!("/jobs/{job}?wait_ms=30000"));
+    assert!(start.elapsed() < Duration::from_secs(10), "long-poll took {:?}", start.elapsed());
+    assert!(String::from_utf8_lossy(&polled).contains("\"verdict\":\"complete\""));
+    assert_eq!(raw_get(&d.addr, &format!("/jobs/{job}")), polled, "same document either way");
+    d.shutdown();
+}
+
+/// Lost wake-ups: four concurrent tailers of one running job, and one of a
+/// job whose deadline fires while the only worker is stalled, all receive
+/// the full committed stream and reach EOF at the verdict. The tailers
+/// are waiting before anything commits, so each commit and the verdict
+/// must wake them; a short client timeout turns a missed `notify_all` into
+/// a failure instead of a hang.
+#[test]
+fn concurrent_tailers_all_wake_at_every_commit_and_verdict() {
+    let dir = tempdir("tailers");
+    // Claim 1 is the running job's first chunk; the one worker stalls 3 s
+    // on it, so the other job's 0.5 s deadline fires first.
+    let mut d = Daemon::start(
+        &dir,
+        &["--workers", "1", "--lease-secs", "30", "--test-stall-claim", "1:3000"],
+    );
+    let client = d.client().with_timeout(Duration::from_secs(10));
+    let running = submit_ok(&client, &spec("t1", "\"Mild\",\"Aggressive\"", 3, 1, ""));
+    let doomed = submit_ok(&client, &spec("t2", "\"Mild\"", 2, 1, ",\"deadline_secs\":0.5"));
+    let start = Instant::now();
+    let (streams, (doomed_bytes, doomed_eof)) = std::thread::scope(|s| {
+        let readers: Vec<_> =
+            (0..4).map(|_| s.spawn(|| try_collect(&client, &running, 0))).collect();
+        let doomed_reader = s.spawn(|| (try_collect(&client, &doomed, 0), start.elapsed()));
+        let streams: Vec<Vec<u8>> =
+            readers.into_iter().map(|r| r.join().expect("reader").expect("stream")).collect();
+        (streams, doomed_reader.join().expect("doomed reader"))
+    });
+    assert_eq!(client.wait(&doomed, WAIT).expect("doomed"), "deadline_exceeded");
+    assert_eq!(doomed_bytes.expect("doomed stream"), collect(&client, &doomed, 0));
+    assert!(
+        doomed_eof < Duration::from_secs(2),
+        "the deadline verdict must end its stream before the stalled worker returns \
+         ({doomed_eof:?})"
+    );
+    assert_eq!(client.wait(&running, WAIT).expect("running"), "complete");
+    let full = collect(&client, &running, 0);
+    assert_eq!(full.iter().filter(|&&b| b == b'\n').count(), 6);
+    for (i, got) in streams.iter().enumerate() {
+        assert_eq!(got, &full, "tailer {i} diverged");
+    }
     d.shutdown();
 }
