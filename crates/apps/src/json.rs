@@ -1,13 +1,18 @@
-//! The workspace's one JSON module: the writer helpers every hand-rolled
-//! emitter uses ([`json_string`], [`json_f64`]) and the reader the tooling
-//! and `campaignd` parse with ([`Json`]).
+//! The workspace's one JSON module: the writer helpers the hand-rolled
+//! hot-path emitters use ([`json_string`], [`json_f64`]), the [`Json`]
+//! tree the tooling and `campaignd` parse into and typed reports serialize
+//! from, and the [`Fields`] reader typed reports read back through.
 //!
-//! Reports are serialized by hand (no serde — the build is offline). The
-//! reader is a small recursive-descent parser covering exactly the JSON
-//! the emitters produce: objects, arrays, strings with the standard
-//! escapes, numbers (including exponents), booleans and null. Nesting is
-//! capped at [`MAX_DEPTH`] levels, so hostile input (a request body of
-//! ten thousand `[`) is an error rather than a stack overflow.
+//! No serde — the build is offline. The parser is a small
+//! recursive-descent one covering exactly the JSON the emitters produce:
+//! objects, arrays, strings with the standard escapes, numbers (including
+//! exponents), booleans and null. Nesting is capped at [`MAX_DEPTH`]
+//! levels, so hostile input (a request body of ten thousand `[`) is an
+//! error rather than a stack overflow.
+
+use std::fmt;
+
+use enerj_hw::quanta::EnergyQuanta;
 
 /// Quotes and escapes a string as a JSON string literal.
 pub fn json_string(s: &str) -> String {
@@ -147,6 +152,207 @@ impl Json {
             Json::Obj(fields) => Some(fields),
             _ => None,
         }
+    }
+
+    /// An object from `(key, value)` pairs, in order.
+    pub fn object<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+}
+
+/// Compact rendering: no whitespace, keys in stored order, strings through
+/// [`json_string`] and numbers through [`json_f64`] — the bytes the
+/// workspace's hand-rolled emitters write.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Int(x) => write!(f, "{x}"),
+            Json::Num(x) => f.write_str(&json_f64(*x)),
+            Json::Str(s) => f.write_str(&json_string(s)),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    write!(f, "{}{v}", if i == 0 { "" } else { "," })?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(fields) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    write!(f, "{}{}:{v}", if i == 0 { "" } else { "," }, json_string(k))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// `From` conversions for the values typed reports hold.
+macro_rules! json_from {
+    ($($t:ty => |$x:ident| $e:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($x: $t) -> Json {
+                $e
+            }
+        }
+    )*};
+}
+
+json_from!(
+    bool => |b| Json::Bool(b),
+    f64 => |x| Json::Num(x),
+    &str => |s| Json::Str(s.to_owned()),
+    String => |s| Json::Str(s),
+    u32 => |x| Json::Int(x.into()),
+    u64 => |x| Json::Int(x.into()),
+    usize => |x| Json::Int(x as i128),
+    // Exact while the count fits `i128` (every realistic quanta total);
+    // beyond that it falls back to `f64`, as the parser does for such a
+    // literal.
+    u128 => |x| i128::try_from(x).map_or(Json::Num(x as f64), Json::Int),
+    EnergyQuanta => |q| Json::from(q.get()),
+);
+
+/// An object read one typed field at a time: the reading half of every
+/// typed report's `from_json`. Each error names the offending field by its
+/// path from the document root (`` batched[3].level: unknown level
+/// `Extreme` ``), so a validator built on it says where a document
+/// drifted.
+#[derive(Debug, Clone)]
+pub struct Fields<'a> {
+    fields: &'a [(String, Json)],
+    path: String,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads `doc` as a document root, which must be an object.
+    pub fn root(doc: &'a Json) -> Result<Fields<'a>, String> {
+        let fields = doc.as_object().ok_or("the document must be a JSON object")?;
+        Ok(Fields { fields, path: String::new() })
+    }
+
+    /// This object's path from the root (empty at the root).
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+
+    /// How many fields this object has.
+    pub fn field_count(&self) -> usize {
+        self.fields.len()
+    }
+
+    fn path_of(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_owned()
+        } else {
+            format!("{}.{key}", self.path)
+        }
+    }
+
+    /// The raw value of `key` (the first, if repeated).
+    pub fn value(&self, key: &str) -> Result<&'a Json, String> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("{}: missing", self.path_of(key)))
+    }
+
+    fn read<T>(
+        &self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self.value(key)?;
+        read(v).ok_or_else(|| format!("{}: must be {what} ({v:?})", self.path_of(key)))
+    }
+
+    /// Checks the `schema` tag.
+    pub fn schema(&self, expected: &str) -> Result<(), String> {
+        let schema = self.str("schema")?;
+        if schema != expected {
+            return Err(format!("schema `{schema}`, expected `{expected}`"));
+        }
+        Ok(())
+    }
+
+    /// A boolean.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.read(key, "a boolean", |v| match v {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    /// A string.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.read(key, "a string", Json::as_str)
+    }
+
+    /// A name from a closed vocabulary, looked up by `parse`; any other
+    /// string is an "unknown `key`" error.
+    pub fn name<T>(&self, key: &str, parse: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
+        let name = self.str(key)?;
+        parse(name).ok_or_else(|| format!("{}: unknown {key} `{name}`", self.path_of(key)))
+    }
+
+    /// Any number.
+    pub fn number(&self, key: &str) -> Result<f64, String> {
+        self.read(key, "a number", Json::as_f64)
+    }
+
+    /// A finite, positive number: a rate or a duration.
+    pub fn positive(&self, key: &str) -> Result<f64, String> {
+        self.read(key, "finite and positive", |v| v.as_f64().filter(|x| x.is_finite() && *x > 0.0))
+    }
+
+    /// An exact non-negative integer that fits `T`, read losslessly, so
+    /// quanta above 2^53 survive.
+    pub fn uint<T: TryFrom<u128>>(&self, key: &str) -> Result<T, String> {
+        self.read(key, "a non-negative integer", |v| v.as_u128().and_then(|x| T::try_from(x).ok()))
+    }
+
+    /// An exact positive integer that fits `T`: a count that cannot be 0.
+    pub fn count<T: TryFrom<u128>>(&self, key: &str) -> Result<T, String> {
+        self.read(key, "a positive integer", |v| {
+            v.as_u128().filter(|&x| x > 0).and_then(|x| T::try_from(x).ok())
+        })
+    }
+
+    /// `None` when `key` is `null`, otherwise what `read` makes of it.
+    pub fn nullable<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.value(key)? {
+            Json::Null => Ok(None),
+            _ => read(self, key).map(Some),
+        }
+    }
+
+    /// A nested object.
+    pub fn object(&self, key: &str) -> Result<Fields<'a>, String> {
+        let fields = self.read(key, "an object", Json::as_object)?;
+        Ok(Fields { fields, path: self.path_of(key) })
+    }
+
+    /// An array of objects, each at its indexed path (`key[i]`).
+    pub fn objects(&self, key: &str) -> Result<Vec<Fields<'a>>, String> {
+        let path = self.path_of(key);
+        let items = self.read(key, "an array", Json::as_array)?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                let fields =
+                    item.as_object().ok_or_else(|| format!("{path}[{i}]: must be an object"))?;
+                Ok(Fields { fields, path: format!("{path}[{i}]") })
+            })
+            .collect()
     }
 }
 
@@ -439,6 +645,52 @@ mod tests {
         assert!(Json::parse("{}x").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn display_writes_what_the_parser_reads() {
+        let doc = Json::object([
+            ("s", "a\"b".into()),
+            ("n", 0.0.into()),
+            ("q", EnergyQuanta::new(9_007_199_254_740_993).into()),
+            ("rows", Json::Arr(vec![Json::object([("x", 1u32.into()), ("y", Json::Null)])])),
+            ("empty", Json::Arr(vec![])),
+        ]);
+        let compact = doc.to_string();
+        assert_eq!(
+            compact,
+            r#"{"s":"a\"b","n":0,"q":9007199254740993,"rows":[{"x":1,"y":null}],"empty":[]}"#
+        );
+        assert_eq!(Json::parse(&compact).unwrap().to_string(), compact);
+        // Beyond i128 a count degrades to f64, exactly as the parser reads
+        // such a literal.
+        assert!(matches!(Json::from(u128::MAX), Json::Num(_)));
+    }
+
+    #[test]
+    fn fields_errors_name_the_json_path() {
+        let doc =
+            Json::parse(r#"{"a":{"rows":[{"n":1},{"n":-1}]},"s":"x","f":0.5,"z":0,"nil":null}"#)
+                .unwrap();
+        let f = Fields::root(&doc).unwrap();
+        let rows = f.object("a").unwrap().objects("rows").unwrap();
+        assert_eq!(rows[0].uint::<u8>("n"), Ok(1));
+        let err = rows[1].uint::<u8>("n").unwrap_err();
+        assert!(err.starts_with("a.rows[1].n: must be a non-negative integer"), "{err}");
+        assert_eq!(rows[1].value("m").unwrap_err(), "a.rows[1].m: missing");
+        assert_eq!(f.name("s", |_| None::<()>).unwrap_err(), "s: unknown s `x`");
+        assert!(f.uint::<u64>("f").unwrap_err().starts_with("f: must be a non-negative integer"));
+        assert!(f.count::<u64>("z").unwrap_err().starts_with("z: must be a positive integer"));
+        assert!(f.positive("z").unwrap_err().starts_with("z: must be finite and positive"));
+        assert_eq!(f.positive("f"), Ok(0.5));
+        assert_eq!(f.nullable("nil", Fields::str), Ok(None));
+        assert_eq!(f.nullable("s", Fields::str), Ok(Some("x")));
+        assert!(f.object("s").unwrap_err().contains("must be an object"));
+        assert!(f.schema("enerj-x/1").unwrap_err().contains("missing"));
+        assert!(Fields::root(&Json::Null).is_err());
+        // A value too wide for the target type is rejected, not truncated.
+        let wide = Json::parse(r#"{"n":256}"#).unwrap();
+        assert!(Fields::root(&wide).unwrap().uint::<u8>("n").is_err());
     }
 
     #[test]

@@ -70,7 +70,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::harness::{self, FAULT_SEED_BASE};
-use crate::json::{json_f64, json_string};
+use crate::json::{json_f64, json_string, Fields, Json};
 use crate::qos::{output_error, Output};
 use crate::recovery;
 use crate::App;
@@ -78,7 +78,7 @@ use enerj_hw::config::{HwConfig, Level, StrategyMask};
 use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
 use enerj_hw::quanta::EnergyQuanta;
 use enerj_hw::stats::Stats;
-use enerj_hw::trace::FaultEvent;
+use enerj_hw::trace::{FaultEvent, FaultKind};
 use enerj_hw::FaultCounters;
 
 /// One fully determined trial: an app, a hardware configuration, a seed.
@@ -375,18 +375,18 @@ impl CampaignReport {
         let mut out = String::new();
         for t in &self.trials {
             for e in &t.events {
-                out.push_str(&format!(
-                    "{{\"trial\":{},\"app\":{},\"label\":{},\"seed\":{},\"time\":{},\
-                     \"unit\":{},\"width\":{},\"bits_flipped\":{}}}\n",
-                    t.index,
-                    json_string(t.app),
-                    json_string(&t.label),
-                    t.seed,
-                    json_f64(e.time),
-                    json_string(&e.kind.to_string()),
-                    e.width,
-                    e.bits_flipped,
-                ));
+                let line = FaultLogLine {
+                    trial: t.index,
+                    app: t.app.to_owned(),
+                    label: t.label.clone(),
+                    seed: t.seed,
+                    time: e.time,
+                    unit: e.kind,
+                    width: e.width,
+                    bits_flipped: e.bits_flipped,
+                };
+                out.push_str(&line.to_json().to_string());
+                out.push('\n');
             }
         }
         out
@@ -399,6 +399,77 @@ impl CampaignReport {
             std::fs::create_dir_all(parent)?;
         }
         std::fs::write(path, self.fault_log_ndjson())
+    }
+}
+
+/// One line of the NDJSON fault log: one injected fault and the trial it
+/// hit. [`CampaignReport::fault_log_ndjson`] writes these; the schema
+/// validator reads them back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultLogLine {
+    /// Index of the trial the fault hit.
+    pub trial: usize,
+    /// The trial's application.
+    pub app: String,
+    /// The trial's campaign label.
+    pub label: String,
+    /// The trial's fault seed.
+    pub seed: u64,
+    /// Simulated time of the injection, in seconds.
+    pub time: f64,
+    /// The unit that faulted.
+    pub unit: FaultKind,
+    /// Width of the corrupted value, in bits.
+    pub width: u32,
+    /// How many of its bits flipped.
+    pub bits_flipped: u32,
+}
+
+impl FaultLogLine {
+    /// The line as a JSON object (compact [`Json`] display is the NDJSON
+    /// line).
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("trial", self.trial.into()),
+            ("app", self.app.as_str().into()),
+            ("label", self.label.as_str().into()),
+            ("seed", self.seed.into()),
+            ("time", self.time.into()),
+            ("unit", self.unit.to_string().into()),
+            ("width", self.width.into()),
+            ("bits_flipped", self.bits_flipped.into()),
+        ])
+    }
+
+    /// Reads a parsed line; every field typed, the unit a known
+    /// [`FaultKind`].
+    pub fn from_json(v: &Json) -> Result<FaultLogLine, String> {
+        let f = Fields::root(v)?;
+        Ok(FaultLogLine {
+            trial: f.uint("trial")?,
+            app: f.str("app")?.to_owned(),
+            label: f.str("label")?.to_owned(),
+            seed: f.uint("seed")?,
+            time: f.number("time")?,
+            unit: f.name("unit", FaultKind::from_name)?,
+            width: f.uint("width")?,
+            bits_flipped: f.uint("bits_flipped")?,
+        })
+    }
+
+    /// Width within 1..=64 bits, no more bits flipped than the value has,
+    /// and no negative time.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=64).contains(&self.width) {
+            return Err(format!("width {} not in 1..=64", self.width));
+        }
+        if self.bits_flipped > self.width {
+            return Err(format!("bits_flipped {} exceeds width {}", self.bits_flipped, self.width));
+        }
+        if self.time < 0.0 {
+            return Err(format!("negative time {}", self.time));
+        }
+        Ok(())
     }
 }
 

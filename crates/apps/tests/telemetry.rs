@@ -10,7 +10,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use enerj_apps::harness::{self, FAULT_SEED_BASE, TUNER_SEED_BASE};
-use enerj_apps::trials::{run_campaign, CampaignOptions, CampaignReport, TrialResult, TrialSpec};
+use enerj_apps::json::Json;
+use enerj_apps::trials::{
+    run_campaign, CampaignOptions, CampaignReport, FaultLogLine, TrialResult, TrialSpec,
+};
 use enerj_apps::{all_apps, App};
 use enerj_hw::config::{HwConfig, Level};
 use enerj_hw::energy::{EnergyBreakdown, EnergyQuantaBreakdown};
@@ -184,6 +187,21 @@ fn campaign_report_json_matches_the_v5_golden() {
 #[test]
 fn fault_log_ndjson_matches_the_v2_golden() {
     check_golden("fault_log_v2.ndjson", &synthetic_report().fault_log_ndjson());
+}
+
+#[test]
+fn fault_log_golden_lines_survive_the_typed_round_trip() {
+    // Each committed line, read into `FaultLogLine` and written back, must
+    // come out byte for byte: the reader and the writer are one definition.
+    let golden = std::fs::read_to_string(golden_path("fault_log_v2.ndjson")).unwrap();
+    assert!(golden.lines().count() > 1);
+    for line in golden.lines() {
+        let parsed = FaultLogLine::from_json(&Json::parse(line).unwrap()).unwrap();
+        parsed.check().unwrap();
+        assert_eq!(parsed.to_json().to_string(), line);
+        let again = FaultLogLine::from_json(&parsed.to_json()).unwrap();
+        assert_eq!(again.to_json(), parsed.to_json());
+    }
 }
 
 #[test]

@@ -22,9 +22,9 @@
 //! by the test suite (`crates/apps/tests/streaming.rs`), not here.
 //!
 //! Results land in `results/BENCH_campaignperf.json` (schema
-//! `enerj-campaignperf/2`); check with `validate_schema --campaignperf`.
+//! `enerj-campaignperf/2`, [`CampaignPerfReport`]); check with
+//! `validate_schema --campaignperf`.
 
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,6 +35,7 @@ use enerj_apps::qos::{Output, QosMetric};
 use enerj_apps::trials::{self, CampaignOptions, NdjsonSink, NullSink, SpecFn, TrialSpec};
 use enerj_apps::{no_check, App};
 use enerj_bench::cli::Options;
+use enerj_bench::perf::{CampaignPerfReport, EngineRow, MemoryRow};
 use enerj_bench::{bench_report_path, render_table};
 use enerj_core::{endorse, Approx};
 use enerj_hw::config::{HwConfig, Level};
@@ -98,15 +99,6 @@ fn rate(trials: usize, wall: f64) -> f64 {
     trials as f64 / wall.max(1e-9)
 }
 
-struct EngineRow {
-    threads: usize,
-    chunk: usize,
-    trials: usize,
-    streamed_per_sec: f64,
-    peak_buffered: usize,
-    buffer_capacity: usize,
-}
-
 fn main() {
     let opts = Options::parse(std::env::args(), 0);
     let quick = opts.has_flag("--quick");
@@ -144,12 +136,12 @@ fn main() {
             let start = Instant::now();
             let summary = trials::run_campaign_streamed(&source, &run_opts, &mut NullSink)
                 .expect("the null sink cannot fail");
-            let streamed_per_sec = rate(summary.trials, start.elapsed().as_secs_f64());
+            let streamed_trials_per_sec = rate(summary.trials, start.elapsed().as_secs_f64());
             rows.push(EngineRow {
                 threads,
                 chunk: summary.chunk,
                 trials: perf_trials,
-                streamed_per_sec,
+                streamed_trials_per_sec,
                 peak_buffered: summary.peak_buffered,
                 buffer_capacity: summary.buffer_capacity,
             });
@@ -163,7 +155,7 @@ fn main() {
             vec![
                 r.threads.to_string(),
                 r.chunk.to_string(),
-                format!("{:.0}", r.streamed_per_sec),
+                format!("{:.0}", r.streamed_trials_per_sec),
                 format!("{}/{}", r.peak_buffered, r.buffer_capacity),
             ]
         })
@@ -183,40 +175,27 @@ fn main() {
         mem_hwm_kb as f64 / 1e3,
     );
 
-    // -- JSON report.
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"enerj-campaignperf/2\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"memory\": {{");
-    let _ = writeln!(json, "    \"trials\": {},", mem.trials);
-    let _ = writeln!(json, "    \"threads\": {},", mem.threads);
-    let _ = writeln!(json, "    \"chunk\": {},", mem.chunk);
-    let _ = writeln!(json, "    \"trials_per_sec\": {:.3},", rate(mem.trials, mem_wall));
-    let _ = writeln!(json, "    \"ndjson_bytes\": {ndjson_bytes},");
-    let _ = writeln!(json, "    \"peak_buffered\": {},", mem.peak_buffered);
-    let _ = writeln!(json, "    \"buffer_capacity\": {},", mem.buffer_capacity);
-    let _ = writeln!(json, "    \"vm_hwm_kb\": {mem_hwm_kb}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"engine\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"threads\": {}, \"chunk\": {}, \"trials\": {}, \
-             \"streamed_trials_per_sec\": {:.3}, \"peak_buffered\": {}, \
-             \"buffer_capacity\": {}}}{comma}",
-            r.threads, r.chunk, r.trials, r.streamed_per_sec, r.peak_buffered, r.buffer_capacity,
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+    let report = CampaignPerfReport {
+        quick,
+        memory: MemoryRow {
+            trials: mem.trials,
+            threads: mem.threads,
+            chunk: mem.chunk,
+            trials_per_sec: rate(mem.trials, mem_wall),
+            ndjson_bytes,
+            peak_buffered: mem.peak_buffered,
+            buffer_capacity: mem.buffer_capacity,
+            vm_hwm_kb: mem_hwm_kb,
+        },
+        engine: rows,
+    };
+    let json = report.to_json().to_string() + "\n";
     let path = bench_report_path("campaignperf");
     match std::fs::write(&path, &json) {
         Ok(()) => eprintln!("campaign perf report -> {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
     if opts.json {
-        println!("{json}");
+        print!("{json}");
     }
 }

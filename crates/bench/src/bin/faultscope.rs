@@ -5,19 +5,19 @@
 //! faultscope <results/BENCH_*.json | faults.ndjson> [--label L] [--bits] [--causes]
 //! ```
 //!
-//! Reads either a campaign report (`enerj-campaign/2` through `/5` JSON,
-//! aggregating each trial's `fault_counts`) or an NDJSON fault log
-//! (counting events), auto-detected, and prints one row per application
-//! with a column per fault kind. Cells are injection counts with each
-//! unit's share of the app's total; `--bits` switches to flipped-bit
-//! totals — the honest "where did my error come from" measure. `--label L`
-//! restricts to one campaign label (a level or strategy name).
+//! Reads either an `enerj-campaign/5` report (aggregating each trial's
+//! `fault_counts`) or an NDJSON fault log (counting events),
+//! auto-detected, and prints one row per application with a column per
+//! fault kind. Cells are injection counts with each unit's share of the
+//! app's total; `--bits` switches to flipped-bit totals — the honest
+//! "where did my error come from" measure. `--label L` restricts to one
+//! campaign label (a level or strategy name).
 //!
-//! `--causes` switches to the recovery view (`/3`+ reports): one row per
-//! app × label with the trial count, how many trials needed recovery, how
-//! many stayed degraded, the failure-cause mix (panics, watchdog
-//! op-budget trips, failed output checks, QoS threshold breaches), and —
-//! for `/4` reports — the exact retry energy overhead in integer quanta.
+//! `--causes` switches to the recovery view: one row per app × label with
+//! the trial count, how many trials needed recovery, how many stayed
+//! degraded, the failure-cause mix (panics, watchdog op-budget trips,
+//! failed output checks, QoS threshold breaches), and the exact retry
+//! energy overhead in integer quanta.
 //!
 //! This is the observability counterpart to `fig5`: instead of "FFT
 //! degrades at Medium", it answers "FFT's faults are 90% SRAM read
@@ -27,7 +27,9 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use enerj_apps::json::Json;
+use enerj_apps::trials::FaultLogLine;
 use enerj_bench::render_table;
+use enerj_bench::validate::check_attempt_ledger;
 use enerj_hw::trace::FaultKind;
 
 fn main() -> ExitCode {
@@ -135,17 +137,22 @@ fn looks_like_report(text: &str) -> bool {
             .is_some_and(|v| v.get("schema").and_then(Json::as_str).is_some())
 }
 
-fn from_report(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
+/// Parses a campaign report, refusing any schema but `enerj-campaign/5`
+/// (the only one the bench binaries write).
+fn parse_report(text: &str) -> Result<Json, String> {
     let report = Json::parse(text.trim()).map_err(|e| format!("report: {e}"))?;
     let schema = report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema`")?;
-    if !schema.starts_with("enerj-campaign/") {
-        return Err(format!("unsupported schema `{schema}`"));
+    if schema != "enerj-campaign/5" {
+        return Err(format!(
+            "unsupported schema `{schema}`; re-run the bench binary to produce an \
+             enerj-campaign/5 report"
+        ));
     }
-    if schema == "enerj-campaign/1" {
-        return Err("schema enerj-campaign/1 predates fault telemetry; re-run the bench \
-                    binary to produce an enerj-campaign/2 report"
-            .to_owned());
-    }
+    Ok(report)
+}
+
+fn from_report(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
+    let report = parse_report(text)?;
     let trials = report.get("trials").and_then(Json::as_array).ok_or("report: missing `trials`")?;
     let mut breakdown = Breakdown::new();
     for trial in trials {
@@ -155,8 +162,7 @@ fn from_report(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
                 continue;
             }
         }
-        let counts =
-            trial.get("fault_counts").ok_or("trial: missing `fault_counts` (schema /2)")?;
+        let counts = trial.get("fault_counts").ok_or("trial: missing `fault_counts`")?;
         let entry = breakdown.entry(app.to_owned()).or_default();
         for (i, kind) in FaultKind::ALL.iter().enumerate() {
             if let Some(kc) = counts.get(&kind.to_string()) {
@@ -170,27 +176,26 @@ fn from_report(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
     Ok(breakdown)
 }
 
-/// The stable failure-cause categories `enerj-campaign/3`+ reports use as
-/// `failure_causes` prefixes (see `enerj_apps::recovery::FailureCause`).
+/// The stable failure-cause categories reports use as `failure_causes`
+/// prefixes (see `enerj_apps::recovery::FailureCause`).
 const CAUSE_CATEGORIES: [&str; 4] = ["panic", "op-budget", "check", "qos"];
 
 /// Per app × label: `[trials, recovered, degraded, per-category counts...]`.
 type CauseRows = BTreeMap<(String, String), [u64; 3 + CAUSE_CATEGORIES.len()]>;
 
-/// Per app × label: summed retry overhead quanta (absent in `/3` reports).
+/// Per app × label: summed retry overhead quanta.
 type OverheadQuanta = BTreeMap<(String, String), u128>;
 
-/// Accumulates the recovery view from a parsed `/3`+ report.
+/// Accumulates the recovery view from a parsed report.
 ///
 /// Outcomes come from the authoritative recorded fields, not inference:
 /// `recovered_at_level` marks a trial recovered, and a trial is *degraded*
 /// exactly when it failed (non-empty `failure_causes`) and no rung's
 /// output was accepted (`recovered_at_level` null). The attempt ledger is
-/// cross-checked — every failed attempt records one cause, so a recovered
-/// trial must carry `attempts - 1` causes and a degraded one exactly
-/// `attempts` — and any mismatch is a validation error rather than a
-/// silently misclassified row. Overhead quanta are summed as exact
-/// integers ([`Json::as_u128`]), never through f64.
+/// cross-checked by the validator's rule ([`check_attempt_ledger`]), and
+/// any mismatch is a validation error rather than a silently
+/// misclassified row. Overhead quanta are summed as exact integers
+/// ([`Json::as_u128`]), never through f64.
 fn causes_rows(report: &Json, label: Option<&str>) -> Result<(CauseRows, OverheadQuanta), String> {
     let trials = report.get("trials").and_then(Json::as_array).ok_or("report: missing `trials`")?;
     let mut rows = CauseRows::new();
@@ -211,21 +216,12 @@ fn causes_rows(report: &Json, label: Option<&str>) -> Result<(CauseRows, Overhea
         let attempts = trial
             .get("attempts")
             .and_then(Json::as_u128)
+            .and_then(|a| u64::try_from(a).ok())
             .ok_or_else(|| format!("trial {i}: `attempts` must be a non-negative integer"))?;
         let recovered = trial.get("recovered_at_level").and_then(Json::as_str).is_some();
         let degraded = !recovered && !causes.is_empty();
-        // Each failed attempt records exactly one cause: recovered trials
-        // spent their last attempt on the accepted output, degraded ones
-        // failed every attempt.
-        let expect = causes.len() as u128 + u128::from(recovered);
-        if (recovered || degraded) && expect != attempts {
-            return Err(format!(
-                "trial {i} ({app}/{trial_label}): {} failure causes and \
-                 recovered_at_level {} are inconsistent with {attempts} attempts",
-                causes.len(),
-                if recovered { "set" } else { "null" },
-            ));
-        }
+        check_attempt_ledger(attempts, causes.len(), recovered)
+            .map_err(|e| format!("trial {i} ({app}/{trial_label}): {e}"))?;
         let entry = rows.entry((app.to_owned(), trial_label.to_owned())).or_default();
         entry[0] += 1;
         entry[1] += u64::from(recovered);
@@ -238,15 +234,10 @@ fn causes_rows(report: &Json, label: Option<&str>) -> Result<(CauseRows, Overhea
                 }
             }
         }
-        let q = match trial.get("recovery_energy_overhead_quanta") {
-            None => 0, // `/3` reports predate the exact-quanta ledger.
-            Some(v) => v.as_u128().ok_or_else(|| {
-                format!(
-                    "trial {i}: `recovery_energy_overhead_quanta` must be a \
-                     non-negative integer ({v:?})"
-                )
-            })?,
-        };
+        let q = trial.get("recovery_energy_overhead_quanta").and_then(Json::as_u128);
+        let q = q.ok_or_else(|| {
+            format!("trial {i}: `recovery_energy_overhead_quanta` must be a non-negative integer")
+        })?;
         *overhead_quanta.entry((app.to_owned(), trial_label.to_owned())).or_default() += q;
     }
     Ok((rows, overhead_quanta))
@@ -254,16 +245,9 @@ fn causes_rows(report: &Json, label: Option<&str>) -> Result<(CauseRows, Overhea
 
 /// Prints the recovery view: per app × label, the trial count, recovery
 /// outcomes, the failure-cause mix, and the exact retry energy overhead
-/// (integer quanta, `enerj-campaign/4`+).
+/// in integer quanta.
 fn print_causes(text: &str, label: Option<&str>) -> Result<(), String> {
-    let report = Json::parse(text.trim()).map_err(|e| format!("report: {e}"))?;
-    let schema = report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema`")?;
-    if !["enerj-campaign/3", "enerj-campaign/4", "enerj-campaign/5"].contains(&schema) {
-        return Err(format!(
-            "schema `{schema}` carries no recovery telemetry; re-run the bench \
-             binary to produce an enerj-campaign/5 report"
-        ));
-    }
+    let report = parse_report(text)?;
     let (rows, overhead_quanta) = causes_rows(&report, label)?;
     if rows.is_empty() {
         println!(
@@ -302,40 +286,38 @@ fn from_ndjson(text: &str, label: Option<&str>) -> Result<Breakdown, String> {
         if line.is_empty() {
             continue;
         }
-        let event = Json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let app = event
-            .get("app")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing `app`", lineno + 1))?;
-        if let Some(want) = label {
-            if event.get("label").and_then(Json::as_str) != Some(want) {
-                continue;
-            }
+        let event = Json::parse(line)
+            .and_then(|v| FaultLogLine::from_json(&v))
+            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        if label.is_some_and(|want| event.label != want) {
+            continue;
         }
-        let unit = event
-            .get("unit")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing `unit`", lineno + 1))?;
-        let kind = FaultKind::from_name(unit)
-            .ok_or_else(|| format!("line {}: unknown unit `{unit}`", lineno + 1))?;
-        let b = event.get("bits_flipped").and_then(Json::as_u128).unwrap_or(0);
-        let entry = breakdown.entry(app.to_owned()).or_default();
-        entry[kind.index()].0 += 1;
-        entry[kind.index()].1 += u64::try_from(b).unwrap_or(u64::MAX);
+        let entry = &mut breakdown.entry(event.app).or_default()[event.unit.index()];
+        entry.0 += 1;
+        entry.1 += u64::from(event.bits_flipped);
     }
     Ok(breakdown)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{causes_rows, Json};
+    use super::{causes_rows, parse_report, Json};
 
-    /// A minimal `/4` trial list exercising every recovery outcome: a
+    #[test]
+    fn only_the_current_campaign_schema_is_read() {
+        for old in ["enerj-campaign/2", "enerj-campaign/3", "enerj-campaign/4"] {
+            let err = parse_report(&format!(r#"{{"schema":"{old}","trials":[]}}"#)).unwrap_err();
+            assert!(err.contains("unsupported schema"), "{err}");
+        }
+        assert!(parse_report(r#"{"schema":"enerj-campaign/5","trials":[]}"#).is_ok());
+    }
+
+    /// A minimal `/5` trial list exercising every recovery outcome: a
     /// clean first-try pass, a trial recovered at a rung, and a degraded
     /// trial whose final attempt also failed.
     fn golden_report() -> Json {
         Json::parse(
-            r#"{"schema":"enerj-campaign/4","trials":[
+            r#"{"schema":"enerj-campaign/5","trials":[
               {"app":"FFT","label":"Mild","attempts":1,"recovered_at_level":null,
                "failure_causes":[],"recovery_energy_overhead_quanta":0},
               {"app":"FFT","label":"Mild","attempts":2,"recovered_at_level":"Precise",
@@ -369,7 +351,7 @@ mod tests {
         // two attempts means the final attempt failed, which contradicts
         // recovered_at_level being set.
         let bad = Json::parse(
-            r#"{"schema":"enerj-campaign/4","trials":[
+            r#"{"schema":"enerj-campaign/5","trials":[
               {"app":"FFT","label":"Mild","attempts":2,"recovered_at_level":"Precise",
                "failure_causes":["qos: a","qos: b"],
                "recovery_energy_overhead_quanta":0}
@@ -381,7 +363,7 @@ mod tests {
         // The converse: a degraded trial (no recovery) claiming more
         // attempts than it has causes lost an attempt's record somewhere.
         let bad = Json::parse(
-            r#"{"schema":"enerj-campaign/4","trials":[
+            r#"{"schema":"enerj-campaign/5","trials":[
               {"app":"FFT","label":"Mild","attempts":3,"recovered_at_level":null,
                "failure_causes":["qos: a","qos: b"],
                "recovery_energy_overhead_quanta":0}
@@ -394,7 +376,7 @@ mod tests {
     #[test]
     fn fractional_overhead_quanta_are_rejected() {
         let bad = Json::parse(
-            r#"{"schema":"enerj-campaign/4","trials":[
+            r#"{"schema":"enerj-campaign/5","trials":[
               {"app":"FFT","label":"Mild","attempts":1,"recovered_at_level":null,
                "failure_causes":[],"recovery_energy_overhead_quanta":1.5}
             ]}"#,

@@ -185,7 +185,7 @@ fn main() -> ExitCode {
             .collect(),
     };
 
-    let json = sched_report.to_json();
+    let json = sched_report.to_json().to_string();
     if opts.json {
         println!("{json}");
     } else {

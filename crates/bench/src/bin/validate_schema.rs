@@ -12,14 +12,14 @@
 //!
 //! Validates each `--report` against `enerj-campaign/5`, each `--fault-log`
 //! against the NDJSON fault-event schema, each `--hwperf` against the
-//! `enerj-hwperf/2` throughput-report schema, each `--campaignperf`
-//! against the `enerj-campaignperf/2` campaign-engine report schema
-//! (including the engine bit-identity verdict and the bounded reorder
-//! window), each `--sched` against the `enerj-sched/1`
-//! budget-scheduling report schema (including the scheduler's own
-//! bit-identity verdict and the exact integer budget arithmetic), and
-//! each `--serve` against the `enerj-serveperf/1` campaign-service report
-//! schema (including the kill-resume byte-identity verdict).
+//! `enerj-hwperf/3` throughput-report schema (including speedup and rate
+//! consistency), each `--campaignperf` against the `enerj-campaignperf/2`
+//! campaign-engine report schema (including the bounded reorder window),
+//! each `--sched` against the `enerj-sched/1` budget-scheduling report
+//! schema (including the scheduler's own bit-identity verdict and the
+//! exact integer budget arithmetic), and each `--serve` against the
+//! `enerj-serveperf/1` campaign-service report schema (including the
+//! kill-resume byte-identity verdict).
 //! `--quanta-compare` checks
 //! that two campaign reports carry *identical* integer energy totals
 //! (`energy_quanta` and `recovery_energy_overhead_quanta`), compared as
@@ -124,7 +124,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 let parsed = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
                 let kernels =
                     validate_hwperf_report(&parsed).map_err(|e| format!("{path}: {e}"))?;
-                println!("{path}: OK (enerj-hwperf/2, {kernels} kernel rows)");
+                println!("{path}: OK (enerj-hwperf/3, {kernels} batched rows)");
                 checked += 1;
             }
             "--campaignperf" => {

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod perf;
 pub mod sched;
 pub mod validate;
 

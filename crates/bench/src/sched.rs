@@ -5,15 +5,19 @@
 //! metered cost, the budget derived from it, the scheduled campaign's
 //! spend/QoS/level census, every static single-level baseline on the same
 //! workload and seeds, and the binary's own threads-1-vs-2 bit-identity
-//! verification verdict. The serialization is byte-stable (golden-file
-//! locked) so schema drift is caught the same way `enerj-campaign/5` drift
-//! is.
+//! verification verdict. [`SchedReport`] is the schema's one definition:
+//! `schedbench` serializes it with [`SchedReport::to_json`], and the
+//! validator reads it back with [`SchedReport::from_json`] and checks it
+//! with [`SchedReport::check`]. The serialization is byte-stable
+//! (golden-file locked).
 
-use std::fmt::Write as _;
-
+use enerj_apps::json::{Fields, Json};
 use enerj_apps::scheduler::SchedLevel;
 use enerj_hw::energy::QuantaMeter;
 use enerj_hw::quanta::EnergyQuanta;
+
+/// The schema tag.
+pub const SCHEMA: &str = "enerj-sched/1";
 
 /// The scheduled campaign's half of the comparison.
 #[derive(Debug, Clone)]
@@ -74,56 +78,178 @@ pub struct SchedReport {
 }
 
 impl SchedReport {
-    /// Serializes to the byte-stable `enerj-sched/1` JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"schema\":\"enerj-sched/1\",\"quick\":{},\"meter\":\"{}\",\
-             \"budget_pct\":{},\"trials\":{},\"epoch_len\":{},\
-             \"precise_cost_quanta\":{},\"budget_quanta\":{},\"identical\":{}",
-            self.quick,
-            self.meter.name(),
-            self.budget_pct,
-            self.trials,
-            self.epoch_len,
-            self.precise_cost_quanta,
-            self.budget_quanta,
-            self.identical,
-        );
+    /// The report as JSON; its compact display is the byte-stable
+    /// `enerj-sched/1` document.
+    pub fn to_json(&self) -> Json {
         let s = &self.scheduled;
-        let _ = write!(
-            out,
-            ",\"scheduled\":{{\"spent_quanta\":{},\"budget_met\":{},\
-             \"mean_error\":{},\"qos\":{},\"implausible\":{},\"level_counts\":{{",
-            s.spent_quanta, s.budget_met, s.mean_error, s.qos, s.implausible
-        );
-        for (i, level) in SchedLevel::ALL.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\":{}",
-                if i == 0 { "" } else { "," },
-                level.name(),
-                s.level_counts[i]
-            );
-        }
-        out.push_str("}},\"baselines\":[");
-        for (i, b) in self.baselines.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"level\":\"{}\",\"spent_quanta\":{},\"mean_error\":{},\
-                 \"qos\":{},\"fits_budget\":{}}}",
-                if i == 0 { "" } else { "," },
-                b.level.name(),
-                b.spent_quanta,
-                b.mean_error,
-                b.qos,
-                b.fits_budget
-            );
-        }
-        out.push_str("]}");
-        out
+        let counts = SchedLevel::ALL.iter().zip(s.level_counts).map(|(l, n)| (l.name(), n.into()));
+        Json::object([
+            ("schema", SCHEMA.into()),
+            ("quick", self.quick.into()),
+            ("meter", self.meter.name().into()),
+            ("budget_pct", self.budget_pct.into()),
+            ("trials", self.trials.into()),
+            ("epoch_len", self.epoch_len.into()),
+            ("precise_cost_quanta", self.precise_cost_quanta.into()),
+            ("budget_quanta", self.budget_quanta.into()),
+            ("identical", self.identical.into()),
+            (
+                "scheduled",
+                Json::object([
+                    ("spent_quanta", s.spent_quanta.into()),
+                    ("budget_met", s.budget_met.into()),
+                    ("mean_error", s.mean_error.into()),
+                    ("qos", s.qos.into()),
+                    ("implausible", s.implausible.into()),
+                    ("level_counts", Json::object(counts)),
+                ]),
+            ),
+            ("baselines", Json::Arr(self.baselines.iter().map(BaselineRow::to_json).collect())),
+        ])
     }
+
+    /// Reads a parsed report: every field present and typed, the meter and
+    /// levels from their vocabularies, one count per rung.
+    pub fn from_json(v: &Json) -> Result<SchedReport, String> {
+        let f = Fields::root(v)?;
+        f.schema(SCHEMA)?;
+        let s = f.object("scheduled")?;
+        let counts = s.object("level_counts")?;
+        if counts.field_count() != SchedLevel::ALL.len() {
+            return Err(format!(
+                "{}: expected {} level counts, found {}",
+                counts.path(),
+                SchedLevel::ALL.len(),
+                counts.field_count()
+            ));
+        }
+        let mut level_counts = [0; 4];
+        for (n, level) in level_counts.iter_mut().zip(SchedLevel::ALL) {
+            *n = counts.uint(level.name())?;
+        }
+        Ok(SchedReport {
+            quick: f.bool("quick")?,
+            meter: f.name("meter", QuantaMeter::parse)?,
+            budget_pct: f.uint("budget_pct")?,
+            trials: f.count("trials")?,
+            epoch_len: f.uint("epoch_len")?,
+            precise_cost_quanta: EnergyQuanta::new(f.uint("precise_cost_quanta")?),
+            budget_quanta: EnergyQuanta::new(f.uint("budget_quanta")?),
+            identical: f.bool("identical")?,
+            scheduled: ScheduledRow {
+                spent_quanta: EnergyQuanta::new(s.uint("spent_quanta")?),
+                budget_met: s.bool("budget_met")?,
+                mean_error: s.number("mean_error")?,
+                qos: s.number("qos")?,
+                implausible: s.uint("implausible")?,
+                level_counts,
+            },
+            baselines: f
+                .objects("baselines")?
+                .iter()
+                .map(BaselineRow::from_json)
+                .collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// The report's invariants: the identity verdict holds, the budget is
+    /// exactly `budget_pct`% of the precise cost, every budget verdict
+    /// equals `spent <= budget`, the level census covers every trial, and
+    /// each QoS is `1 - mean_error`. Integer arithmetic is checked, so a
+    /// hostile report is an error, not an overflow.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.identical {
+            return Err(
+                "`identical` is false — scheduled campaigns diverged across thread counts".into()
+            );
+        }
+        let (cost, pct, budget) =
+            (self.precise_cost_quanta, self.budget_pct, self.budget_quanta.get());
+        let expected = cost.get().checked_mul(u128::from(pct)).ok_or_else(|| {
+            format!("precise_cost_quanta {cost} times budget_pct {pct} overflows")
+        })? / 100;
+        if budget != expected {
+            return Err(format!(
+                "budget_quanta {budget} is not {pct}% of precise_cost_quanta {cost}"
+            ));
+        }
+        let s = &self.scheduled;
+        check_verdict("scheduled: budget_met", s.budget_met, s.spent_quanta, self.budget_quanta)?;
+        check_error_and_qos("scheduled", s.mean_error, s.qos)?;
+        let census = s
+            .level_counts
+            .iter()
+            .try_fold(0u64, |sum, &n| sum.checked_add(n))
+            .ok_or("scheduled: level counts overflow")?;
+        if census != self.trials as u64 {
+            return Err(format!(
+                "scheduled: level counts sum to {census}, expected {} trials",
+                self.trials
+            ));
+        }
+        if self.baselines.is_empty() {
+            return Err("`baselines` is empty".into());
+        }
+        for (i, b) in self.baselines.iter().enumerate() {
+            let what = format!("baselines[{i}]");
+            check_verdict(
+                &format!("{what}: fits_budget"),
+                b.fits_budget,
+                b.spent_quanta,
+                self.budget_quanta,
+            )?;
+            check_error_and_qos(&what, b.mean_error, b.qos)?;
+        }
+        Ok(())
+    }
+}
+
+impl BaselineRow {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("level", self.level.name().into()),
+            ("spent_quanta", self.spent_quanta.into()),
+            ("mean_error", self.mean_error.into()),
+            ("qos", self.qos.into()),
+            ("fits_budget", self.fits_budget.into()),
+        ])
+    }
+
+    fn from_json(f: &Fields) -> Result<BaselineRow, String> {
+        Ok(BaselineRow {
+            level: f.name("level", SchedLevel::from_name)?,
+            spent_quanta: EnergyQuanta::new(f.uint("spent_quanta")?),
+            mean_error: f.number("mean_error")?,
+            qos: f.number("qos")?,
+            fits_budget: f.bool("fits_budget")?,
+        })
+    }
+}
+
+/// A recorded budget verdict must be exactly `spent <= budget`.
+fn check_verdict(
+    what: &str,
+    verdict: bool,
+    spent: EnergyQuanta,
+    budget: EnergyQuanta,
+) -> Result<(), String> {
+    if verdict != (spent <= budget) {
+        return Err(format!("{what} {verdict} inconsistent with spent {spent} vs budget {budget}"));
+    }
+    Ok(())
+}
+
+fn check_error_and_qos(what: &str, err: f64, qos: f64) -> Result<(), String> {
+    if !(0.0..=1.0).contains(&err) {
+        return Err(format!("{what}: mean_error {err} outside [0, 1]"));
+    }
+    if !(0.0..=1.0).contains(&qos) {
+        return Err(format!("{what}: qos {qos} outside [0, 1]"));
+    }
+    if (qos - (1.0 - err)).abs() > 1e-9 {
+        return Err(format!("{what}: qos {qos} inconsistent with mean_error {err}"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -171,7 +297,7 @@ mod tests {
 
     #[test]
     fn serializes_every_section() {
-        let json = synthetic_sched_report().to_json();
+        let json = synthetic_sched_report().to_json().to_string();
         assert!(json.starts_with("{\"schema\":\"enerj-sched/1\""));
         assert!(json.contains("\"meter\":\"sram\""));
         assert!(json.contains("\"budget_met\":true"));

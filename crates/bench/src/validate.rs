@@ -1,13 +1,24 @@
 //! Schema validation for the telemetry artifacts.
 //!
 //! Checks `results/BENCH_*.json` campaign reports against the
-//! `enerj-campaign/5` schema, `enerj-sched/1` budget-scheduling reports,
-//! and NDJSON fault logs against the fault-event schema, all as documented
+//! `enerj-campaign/5` schema, and NDJSON fault logs and the perf, sched
+//! and serve reports against their typed definitions, all as documented
 //! in DESIGN.md. Used by the `validate_schema` binary (and the CI smoke
 //! jobs) to catch emitter drift.
+//!
+//! Every schema but `enerj-campaign/5` is one Rust type whose writer and
+//! reader share a definition, so its validator is `T::from_json(v)?` plus
+//! `check()`. The campaign report's writer is the NDJSON hot path
+//! (`enerj_apps::trials::trial_json`), so it is checked here field by
+//! field, through the same [`Fields`] reader.
 
-use enerj_apps::json::Json;
+use enerj_apps::json::{Fields, Json};
+use enerj_apps::trials::FaultLogLine;
 use enerj_hw::trace::FaultKind;
+use enerj_serve::serveperf::ServePerfReport;
+
+use crate::perf::{CampaignPerfReport, HwPerfReport};
+use crate::sched::SchedReport;
 
 /// Top-level keys every `enerj-campaign/5` report must carry.
 const REPORT_KEYS: [&str; 12] = [
@@ -49,65 +60,32 @@ const TRIAL_KEYS: [&str; 16] = [
 const STATS_QUANTA_KEYS: [&str; 4] =
     ["sram_approx_quanta", "sram_precise_quanta", "dram_approx_quanta", "dram_precise_quanta"];
 
-/// Keys every `energy_quanta` breakdown object must carry.
-const ENERGY_QUANTA_KEYS: [&str; 8] = [
-    "instructions",
-    "baseline_instructions",
-    "sram",
-    "baseline_sram",
-    "dram",
-    "baseline_dram",
-    "total",
-    "baseline_total",
-];
-
-/// Keys every NDJSON fault-log line must carry.
-const EVENT_KEYS: [&str; 8] =
-    ["trial", "app", "label", "seed", "time", "unit", "width", "bits_flipped"];
-
-fn require_number(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{what}: missing or non-numeric `{key}`"))
-}
-
-/// Checks that `obj[key]` is a non-negative integer energy-quanta count
-/// and returns it exactly.
-///
-/// The parser keeps integer literals lossless ([`Json::Int`]), so this is
-/// an exact 128-bit check — quanta above 2^53, where f64 rounds, are
-/// compared faithfully. A fractional, negative, or absurdly large value is
-/// emitter drift.
-fn require_quanta(obj: &Json, key: &str, what: &str) -> Result<u128, String> {
-    let v = obj.get(key).ok_or_else(|| format!("{what}: missing `{key}`"))?;
-    v.as_u128().ok_or_else(|| format!("{what}: `{key}` must be a non-negative integer ({v:?})"))
-}
+/// The scheduler's precision-level vocabulary: the only strings a
+/// `scheduled_level` field may carry.
+const SCHED_LEVELS: [&str; 4] = ["Precise", "Mild", "Medium", "Aggressive"];
 
 /// Checks the four per-(memory × precision) quanta pools of a stats object.
-fn validate_stats_quanta(stats: &Json, what: &str) -> Result<(), String> {
+fn validate_stats_quanta(stats: &Fields) -> Result<(), String> {
     for key in STATS_QUANTA_KEYS {
-        require_quanta(stats, key, what)?;
+        stats.uint::<u128>(key)?;
     }
     Ok(())
 }
 
-/// Checks an `energy_quanta` breakdown: all eight fields present,
-/// non-negative integers, with scaled never exceeding its baseline. The
+/// Checks an `energy_quanta` breakdown: all eight fields exact
+/// non-negative integers, scaled never exceeding its baseline. The
 /// comparison is exact 128-bit integer arithmetic.
-fn validate_energy_quanta(quanta: &Json, what: &str) -> Result<(), String> {
-    for key in ENERGY_QUANTA_KEYS {
-        require_quanta(quanta, key, what)?;
-    }
+fn validate_energy_quanta(quanta: &Fields) -> Result<(), String> {
     for (scaled, baseline) in [
         ("instructions", "baseline_instructions"),
         ("sram", "baseline_sram"),
         ("dram", "baseline_dram"),
         ("total", "baseline_total"),
     ] {
-        let s = require_quanta(quanta, scaled, what)?;
-        let b = require_quanta(quanta, baseline, what)?;
+        let s: u128 = quanta.uint(scaled)?;
+        let b: u128 = quanta.uint(baseline)?;
         if s > b {
-            return Err(format!("{what}: `{scaled}` {s} exceeds `{baseline}` {b}"));
+            return Err(format!("{}: `{scaled}` {s} exceeds `{baseline}` {b}", quanta.path()));
         }
     }
     Ok(())
@@ -116,637 +94,125 @@ fn validate_energy_quanta(quanta: &Json, what: &str) -> Result<(), String> {
 /// Checks that `counters` is a per-kind counter object: one entry per
 /// [`FaultKind`], each with non-negative integer `injections` and
 /// `bits_flipped`.
-fn validate_counters(counters: &Json, what: &str) -> Result<(), String> {
-    let fields =
-        counters.as_object().ok_or_else(|| format!("{what}: counters must be an object"))?;
-    if fields.len() != FaultKind::ALL.len() {
+fn validate_counters(counters: &Fields) -> Result<(), String> {
+    if counters.field_count() != FaultKind::ALL.len() {
         return Err(format!(
-            "{what}: expected {} fault kinds, found {}",
+            "{}: expected {} fault kinds, found {}",
+            counters.path(),
             FaultKind::ALL.len(),
-            fields.len()
+            counters.field_count()
         ));
     }
     for kind in FaultKind::ALL {
-        let name = kind.to_string();
-        let entry = counters.get(&name).ok_or_else(|| format!("{what}: missing kind `{name}`"))?;
-        for key in ["injections", "bits_flipped"] {
-            require_quanta(entry, key, &format!("{what}.{name}"))?;
-        }
+        let entry = counters.object(&kind.to_string())?;
+        entry.uint::<u64>("injections")?;
+        entry.uint::<u64>("bits_flipped")?;
     }
     Ok(())
 }
 
-/// The scheduler's precision-level vocabulary: the only strings a
-/// `scheduled_level` field (or an `enerj-sched/1` level) may carry.
-const SCHED_LEVELS: [&str; 4] = ["Precise", "Mild", "Medium", "Aggressive"];
-
-/// Checks an optional scheduler field: `null` (unscheduled campaigns) or a
-/// value `check` accepts.
-fn require_nullable(
-    obj: &Json,
-    key: &str,
-    what: &str,
-    check: impl FnOnce(&Json) -> Result<(), String>,
-) -> Result<(), String> {
-    match obj.get(key) {
-        None => Err(format!("{what}: missing `{key}`")),
-        Some(Json::Null) => Ok(()),
-        Some(v) => check(v),
+/// The attempt ledger of a recovery trial: every failed attempt records
+/// exactly one cause, so a recovered trial ran one attempt more than it
+/// has causes, a degraded one (causes, no recovery) exactly as many, and
+/// a trial with no causes exactly one.
+pub fn check_attempt_ledger(attempts: u64, causes: usize, recovered: bool) -> Result<(), String> {
+    let expected = (causes as u64 + u64::from(recovered)).max(1);
+    if attempts != expected {
+        return Err(format!(
+            "{causes} failure causes and recovered_at_level {} are inconsistent with \
+             {attempts} attempts",
+            if recovered { "set" } else { "null" },
+        ));
     }
+    Ok(())
 }
 
 /// Validates a parsed `enerj-campaign/5` report. Returns the trial count.
 pub fn validate_campaign_report(report: &Json) -> Result<usize, String> {
-    let schema =
-        report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema` string")?;
-    if schema != "enerj-campaign/5" {
-        return Err(format!("report: schema `{schema}`, expected `enerj-campaign/5`"));
-    }
+    let r = Fields::root(report)?;
+    r.schema("enerj-campaign/5")?;
     for key in REPORT_KEYS {
         if report.get(key).is_none() {
             return Err(format!("report: missing top-level `{key}`"));
         }
     }
-    validate_counters(report.get("fault_totals").expect("checked above"), "fault_totals")?;
-    require_quanta(report, "recovery_energy_overhead_quanta", "report")?;
-    require_nullable(report, "budget_quanta", "report", |v| {
-        v.as_u128().map(drop).ok_or_else(|| {
-            format!("report: `budget_quanta` must be null or a non-negative integer ({v:?})")
-        })
-    })?;
-    require_nullable(report, "budget_met", "report", |v| match v {
-        Json::Bool(_) => Ok(()),
-        other => Err(format!("report: `budget_met` must be null or a boolean ({other:?})")),
-    })?;
+    validate_counters(&r.object("fault_totals")?)?;
+    r.uint::<u128>("recovery_energy_overhead_quanta")?;
+    let budget = r.nullable("budget_quanta", Fields::uint::<u128>)?;
+    let verdict = r.nullable("budget_met", Fields::bool)?;
     // A budget verdict without a budget (or vice versa) is emitter drift.
-    let has_budget = !matches!(report.get("budget_quanta"), Some(Json::Null));
-    let has_verdict = !matches!(report.get("budget_met"), Some(Json::Null));
-    if has_budget != has_verdict {
-        return Err("report: `budget_quanta` and `budget_met` must be null together".to_owned());
+    if budget.is_some() != verdict.is_some() {
+        return Err("`budget_quanta` and `budget_met` must be null together".to_owned());
     }
-    validate_stats_quanta(report.get("merged_stats").expect("checked above"), "merged_stats")?;
-    validate_energy_quanta(report.get("energy_quanta").expect("checked above"), "energy_quanta")?;
-    let trials =
-        report.get("trials").and_then(Json::as_array).ok_or("report: `trials` must be an array")?;
-    for (i, trial) in trials.iter().enumerate() {
-        let what = format!("trials[{i}]");
+    validate_stats_quanta(&r.object("merged_stats")?)?;
+    validate_energy_quanta(&r.object("energy_quanta")?)?;
+    let trials = r.objects("trials")?;
+    for trial in &trials {
+        let what = trial.path();
         for key in TRIAL_KEYS {
-            if trial.get(key).is_none() {
-                return Err(format!("{what}: missing `{key}`"));
-            }
+            trial.value(key)?;
         }
-        let counts =
-            trial.get("fault_counts").ok_or_else(|| format!("{what}: missing `fault_counts`"))?;
-        validate_counters(counts, &format!("{what}.fault_counts"))?;
-        let err = require_number(trial, "error", &what)?;
+        validate_counters(&trial.object("fault_counts")?)?;
+        let err = trial.number("error")?;
         if !(0.0..=1.0).contains(&err) {
             return Err(format!("{what}: error {err} outside [0, 1]"));
         }
-        let attempts = require_number(trial, "attempts", &what)?;
-        if attempts < 1.0 || attempts.fract() != 0.0 {
-            return Err(format!("{what}: attempts {attempts} not a positive integer"));
-        }
         let causes = trial
-            .get("failure_causes")
-            .and_then(Json::as_array)
+            .value("failure_causes")?
+            .as_array()
             .ok_or_else(|| format!("{what}: `failure_causes` must be an array"))?;
-        // N attempts can reject at most N causes (equality only when even
-        // the last rung failed).
-        if causes.len() as f64 > attempts {
-            return Err(format!("{what}: {} failure causes for {attempts} attempts", causes.len()));
-        }
         for (j, cause) in causes.iter().enumerate() {
             if cause.as_str().is_none() {
                 return Err(format!("{what}: failure_causes[{j}] must be a string"));
             }
         }
-        require_nullable(trial, "scheduled_level", &what, |v| match v.as_str() {
-            Some(level) if SCHED_LEVELS.contains(&level) => Ok(()),
-            Some(level) => Err(format!("{what}: unknown scheduled_level `{level}`")),
-            None => Err(format!("{what}: `scheduled_level` must be null or a string")),
+        let recovered = trial.nullable("recovered_at_level", Fields::str)?.is_some();
+        check_attempt_ledger(trial.uint("attempts")?, causes.len(), recovered)
+            .map_err(|e| format!("{what}: {e}"))?;
+        trial.nullable("scheduled_level", |t, key| {
+            t.name(key, |level| SCHED_LEVELS.contains(&level).then_some(()))
         })?;
-        let overhead = require_number(trial, "recovery_energy_overhead", &what)?;
+        let overhead = trial.number("recovery_energy_overhead")?;
         if overhead < 0.0 {
             return Err(format!("{what}: negative recovery_energy_overhead {overhead}"));
         }
-        require_quanta(trial, "recovery_energy_overhead_quanta", &what)?;
-        let stats = trial.get("stats").expect("checked above");
-        validate_stats_quanta(stats, &format!("{what}.stats"))?;
-        let quanta = trial.get("energy_quanta").expect("checked above");
-        validate_energy_quanta(quanta, &format!("{what}.energy_quanta"))?;
+        trial.uint::<u128>("recovery_energy_overhead_quanta")?;
+        validate_stats_quanta(&trial.object("stats")?)?;
+        validate_energy_quanta(&trial.object("energy_quanta")?)?;
     }
     Ok(trials.len())
 }
 
-/// Keys every `enerj-hwperf/2` kernel row must carry.
-const HWPERF_KERNEL_KEYS: [&str; 6] =
-    ["kernel", "level", "ops", "baseline_ops_per_sec", "amortized_ops_per_sec", "speedup"];
-
-/// Keys every `enerj-hwperf/2` batched row must carry (scalar vs
-/// whole-slice entry points on the same substrate).
-const HWPERF_BATCHED_KEYS: [&str; 6] =
-    ["kernel", "level", "ops", "scalar_ops_per_sec", "batched_ops_per_sec", "speedup"];
-
-/// Keys every `enerj-hwperf/2` macro row must carry.
-const HWPERF_MACRO_KEYS: [&str; 4] = ["app", "level", "ops", "ops_per_sec"];
-
-/// The microkernel names an `enerj-hwperf/2` report may contain.
-const HWPERF_KERNELS: [&str; 4] = ["sram", "dram", "alu", "fpu"];
-
-fn require_positive(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
-    let v = require_number(obj, key, what)?;
-    if !v.is_finite() || v <= 0.0 {
-        return Err(format!("{what}: `{key}` must be finite and positive ({v})"));
-    }
-    Ok(v)
-}
-
-fn require_level(obj: &Json, what: &str) -> Result<(), String> {
-    let level = obj
-        .get("level")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: missing `level`"))?;
-    if !["Mild", "Medium", "Aggressive"].contains(&level) {
-        return Err(format!("{what}: unknown level `{level}`"));
-    }
-    Ok(())
-}
-
-/// Validates one speedup grid row: named keys present, every
-/// throughput/speedup figure finite and positive, and the recorded speedup
-/// consistent with the two rates it summarizes.
-fn validate_speedup_row(
-    row: &Json,
-    what: &str,
-    keys: &[&str],
-    numerator: &str,
-    denominator: &str,
-) -> Result<(), String> {
-    for key in keys {
-        if row.get(key).is_none() {
-            return Err(format!("{what}: missing `{key}`"));
-        }
-    }
-    let kernel = row
-        .get("kernel")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: `kernel` must be a string"))?;
-    if !HWPERF_KERNELS.contains(&kernel) {
-        return Err(format!("{what}: unknown kernel `{kernel}`"));
-    }
-    require_level(row, what)?;
-    require_positive(row, "ops", what)?;
-    let base = require_positive(row, denominator, what)?;
-    let num = require_positive(row, numerator, what)?;
-    let speedup = require_positive(row, "speedup", what)?;
-    let implied = num / base;
-    if (speedup - implied).abs() > 0.01 * implied.max(speedup) {
-        return Err(format!(
-            "{what}: speedup {speedup} inconsistent with {num}/{base} = {implied:.3}"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates a parsed `enerj-hwperf/2` throughput report (the `hwbench`
-/// binary's output). Checks schema, key presence, and that every
-/// throughput/speedup figure is finite and positive — it does *not* gate on
-/// absolute speed, so the CI perf-smoke job catches emitter drift without
-/// flaking on slow runners. Returns the kernel-row count (amortized plus
-/// batched grids).
+/// Validates a parsed `enerj-hwperf/3` throughput report (the `hwbench`
+/// binary's output). Returns the batched-row count.
 pub fn validate_hwperf_report(report: &Json) -> Result<usize, String> {
-    let schema =
-        report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema` string")?;
-    if schema != "enerj-hwperf/2" {
-        return Err(format!("report: schema `{schema}`, expected `enerj-hwperf/2`"));
-    }
-    if report.get("quick").is_none() {
-        return Err("report: missing top-level `quick`".to_owned());
-    }
-    let kernels = report
-        .get("kernels")
-        .and_then(Json::as_array)
-        .ok_or("report: `kernels` must be an array")?;
-    if kernels.is_empty() {
-        return Err("report: `kernels` is empty".to_owned());
-    }
-    for (i, row) in kernels.iter().enumerate() {
-        let what = format!("kernels[{i}]");
-        validate_speedup_row(
-            row,
-            &what,
-            &HWPERF_KERNEL_KEYS,
-            "amortized_ops_per_sec",
-            "baseline_ops_per_sec",
-        )?;
-    }
-    let batched = report
-        .get("batched")
-        .and_then(Json::as_array)
-        .ok_or("report: `batched` must be an array")?;
-    if batched.is_empty() {
-        return Err("report: `batched` is empty".to_owned());
-    }
-    for (i, row) in batched.iter().enumerate() {
-        let what = format!("batched[{i}]");
-        validate_speedup_row(
-            row,
-            &what,
-            &HWPERF_BATCHED_KEYS,
-            "batched_ops_per_sec",
-            "scalar_ops_per_sec",
-        )?;
-    }
-    let macros =
-        report.get("macro").and_then(Json::as_array).ok_or("report: `macro` must be an array")?;
-    for (i, row) in macros.iter().enumerate() {
-        let what = format!("macro[{i}]");
-        for key in HWPERF_MACRO_KEYS {
-            if row.get(key).is_none() {
-                return Err(format!("{what}: missing `{key}`"));
-            }
-        }
-        if row.get("app").and_then(Json::as_str).is_none() {
-            return Err(format!("{what}: `app` must be a string"));
-        }
-        require_level(row, &what)?;
-        require_positive(row, "ops", &what)?;
-        require_positive(row, "ops_per_sec", &what)?;
-    }
-    Ok(kernels.len() + batched.len())
-}
-
-/// Keys every `enerj-campaignperf/2` engine row must carry.
-const CAMPAIGNPERF_ENGINE_KEYS: [&str; 6] =
-    ["threads", "chunk", "trials", "streamed_trials_per_sec", "peak_buffered", "buffer_capacity"];
-
-/// Keys the `enerj-campaignperf/2` memory section must carry.
-const CAMPAIGNPERF_MEMORY_KEYS: [&str; 8] = [
-    "trials",
-    "threads",
-    "chunk",
-    "trials_per_sec",
-    "ndjson_bytes",
-    "peak_buffered",
-    "buffer_capacity",
-    "vm_hwm_kb",
-];
-
-fn require_bounded_window(row: &Json, what: &str) -> Result<(), String> {
-    let peak = require_number(row, "peak_buffered", what)?;
-    let capacity = require_positive(row, "buffer_capacity", what)?;
-    if peak < 0.0 || peak.fract() != 0.0 {
-        return Err(format!("{what}: `peak_buffered` must be a non-negative integer ({peak})"));
-    }
-    if peak > capacity {
-        return Err(format!(
-            "{what}: peak_buffered {peak} exceeds buffer_capacity {capacity} — \
-             the reorder window is not bounded"
-        ));
-    }
-    Ok(())
+    let report = HwPerfReport::from_json(report)?;
+    report.check()?;
+    Ok(report.batched.len())
 }
 
 /// Validates a parsed `enerj-campaignperf/2` throughput report (the
-/// `campaign_bench` binary's output). Checks schema, that the reorder
-/// window stayed within its capacity everywhere, and that every rate is
-/// finite and positive — it does *not* gate on absolute speed,
-/// so the CI campaign-smoke job catches emitter drift without flaking on
-/// slow runners. Returns the engine-grid row count.
+/// `campaign_bench` binary's output). Returns the engine-grid row count.
 pub fn validate_campaignperf_report(report: &Json) -> Result<usize, String> {
-    let schema =
-        report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema` string")?;
-    if schema != "enerj-campaignperf/2" {
-        return Err(format!("report: schema `{schema}`, expected `enerj-campaignperf/2`"));
-    }
-    if report.get("quick").is_none() {
-        return Err("report: missing top-level `quick`".to_owned());
-    }
-    let memory = report.get("memory").ok_or("report: missing `memory` object")?;
-    for key in CAMPAIGNPERF_MEMORY_KEYS {
-        if memory.get(key).is_none() {
-            return Err(format!("memory: missing `{key}`"));
-        }
-    }
-    require_positive(memory, "trials", "memory")?;
-    require_positive(memory, "threads", "memory")?;
-    require_positive(memory, "chunk", "memory")?;
-    require_positive(memory, "trials_per_sec", "memory")?;
-    require_positive(memory, "ndjson_bytes", "memory")?;
-    require_bounded_window(memory, "memory")?;
-    let hwm = require_number(memory, "vm_hwm_kb", "memory")?;
-    if hwm < 0.0 {
-        return Err(format!("memory: negative vm_hwm_kb {hwm}"));
-    }
-    let engine =
-        report.get("engine").and_then(Json::as_array).ok_or("report: `engine` must be an array")?;
-    if engine.is_empty() {
-        return Err("report: `engine` is empty".to_owned());
-    }
-    for (i, row) in engine.iter().enumerate() {
-        let what = format!("engine[{i}]");
-        for key in CAMPAIGNPERF_ENGINE_KEYS {
-            if row.get(key).is_none() {
-                return Err(format!("{what}: missing `{key}`"));
-            }
-        }
-        require_positive(row, "threads", &what)?;
-        require_positive(row, "chunk", &what)?;
-        require_positive(row, "trials", &what)?;
-        require_positive(row, "streamed_trials_per_sec", &what)?;
-        require_bounded_window(row, &what)?;
-    }
-    Ok(engine.len())
-}
-
-/// Top-level keys every `enerj-sched/1` report must carry.
-const SCHED_REPORT_KEYS: [&str; 10] = [
-    "schema",
-    "quick",
-    "meter",
-    "budget_pct",
-    "trials",
-    "epoch_len",
-    "precise_cost_quanta",
-    "budget_quanta",
-    "identical",
-    "scheduled",
-];
-
-/// Keys the `enerj-sched/1` scheduled section must carry.
-const SCHED_SCHEDULED_KEYS: [&str; 6] =
-    ["spent_quanta", "budget_met", "mean_error", "qos", "implausible", "level_counts"];
-
-/// Keys every `enerj-sched/1` baseline row must carry.
-const SCHED_BASELINE_KEYS: [&str; 5] =
-    ["level", "spent_quanta", "mean_error", "qos", "fits_budget"];
-
-fn require_error_and_qos(obj: &Json, what: &str) -> Result<(), String> {
-    let err = require_number(obj, "mean_error", what)?;
-    if !(0.0..=1.0).contains(&err) {
-        return Err(format!("{what}: mean_error {err} outside [0, 1]"));
-    }
-    let qos = require_number(obj, "qos", what)?;
-    if !(0.0..=1.0).contains(&qos) {
-        return Err(format!("{what}: qos {qos} outside [0, 1]"));
-    }
-    if (qos - (1.0 - err)).abs() > 1e-9 {
-        return Err(format!("{what}: qos {qos} inconsistent with mean_error {err}"));
-    }
-    Ok(())
+    let report = CampaignPerfReport::from_json(report)?;
+    report.check()?;
+    Ok(report.engine.len())
 }
 
 /// Validates a parsed `enerj-sched/1` budget-scheduling report (the
-/// `schedbench` binary's output). Checks schema, the binary's own
-/// bit-identity verdict, exact integer-quanta budget arithmetic (the
-/// recorded verdict must equal `spent <= budget`), the scheduled level
-/// census, and every static baseline row — it does *not* gate on absolute
-/// QoS, so the CI sched-smoke job catches emitter drift without pinning
-/// workload-dependent numbers. Returns the baseline-row count.
+/// `schedbench` binary's output). Returns the baseline-row count.
 pub fn validate_sched_report(report: &Json) -> Result<usize, String> {
-    let schema =
-        report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema` string")?;
-    if schema != "enerj-sched/1" {
-        return Err(format!("report: schema `{schema}`, expected `enerj-sched/1`"));
-    }
-    for key in SCHED_REPORT_KEYS {
-        if report.get(key).is_none() {
-            return Err(format!("report: missing top-level `{key}`"));
-        }
-    }
-    let meter =
-        report.get("meter").and_then(Json::as_str).ok_or("report: `meter` must be a string")?;
-    if !["total", "sram"].contains(&meter) {
-        return Err(format!("report: unknown meter `{meter}`"));
-    }
-    match report.get("identical") {
-        Some(Json::Bool(true)) => {}
-        Some(Json::Bool(false)) => {
-            return Err(
-                "report: `identical` is false — scheduled campaigns diverged across thread counts"
-                    .to_owned(),
-            )
-        }
-        _ => return Err("report: missing boolean `identical`".to_owned()),
-    }
-    let trials = require_quanta(report, "trials", "report")?;
-    if trials == 0 {
-        return Err("report: `trials` must be positive".to_owned());
-    }
-    require_quanta(report, "epoch_len", "report")?;
-    let precise_cost = require_quanta(report, "precise_cost_quanta", "report")?;
-    let budget = require_quanta(report, "budget_quanta", "report")?;
-    let pct = require_quanta(report, "budget_pct", "report")?;
-    if budget != precise_cost * pct / 100 {
-        return Err(format!(
-            "report: budget_quanta {budget} is not {pct}% of precise_cost_quanta {precise_cost}"
-        ));
-    }
-    let scheduled = report.get("scheduled").expect("checked above");
-    for key in SCHED_SCHEDULED_KEYS {
-        if scheduled.get(key).is_none() {
-            return Err(format!("scheduled: missing `{key}`"));
-        }
-    }
-    let spent = require_quanta(scheduled, "spent_quanta", "scheduled")?;
-    let met = match scheduled.get("budget_met") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err("scheduled: `budget_met` must be a boolean".to_owned()),
-    };
-    // The verdict is defined as the invariant — exact integer arithmetic.
-    if met != (spent <= budget) {
-        return Err(format!(
-            "scheduled: budget_met {met} inconsistent with spent {spent} vs budget {budget}"
-        ));
-    }
-    require_error_and_qos(scheduled, "scheduled")?;
-    require_quanta(scheduled, "implausible", "scheduled")?;
-    let counts = scheduled
-        .get("level_counts")
-        .and_then(Json::as_object)
-        .ok_or("scheduled: `level_counts` must be an object")?;
-    if counts.len() != SCHED_LEVELS.len() {
-        return Err(format!(
-            "scheduled: expected {} level counts, found {}",
-            SCHED_LEVELS.len(),
-            counts.len()
-        ));
-    }
-    let mut census = 0u128;
-    for level in SCHED_LEVELS {
-        census += require_quanta(
-            scheduled.get("level_counts").expect("checked above"),
-            level,
-            "scheduled.level_counts",
-        )?;
-    }
-    if census != trials {
-        return Err(format!("scheduled: level counts sum to {census}, expected {trials} trials"));
-    }
-    let baselines = report
-        .get("baselines")
-        .and_then(Json::as_array)
-        .ok_or("report: `baselines` must be an array")?;
-    if baselines.is_empty() {
-        return Err("report: `baselines` is empty".to_owned());
-    }
-    for (i, row) in baselines.iter().enumerate() {
-        let what = format!("baselines[{i}]");
-        for key in SCHED_BASELINE_KEYS {
-            if row.get(key).is_none() {
-                return Err(format!("{what}: missing `{key}`"));
-            }
-        }
-        let level = row
-            .get("level")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{what}: `level` must be a string"))?;
-        if !SCHED_LEVELS.contains(&level) {
-            return Err(format!("{what}: unknown level `{level}`"));
-        }
-        let spent = require_quanta(row, "spent_quanta", &what)?;
-        let fits = match row.get("fits_budget") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(format!("{what}: `fits_budget` must be a boolean")),
-        };
-        if fits != (spent <= budget) {
-            return Err(format!(
-                "{what}: fits_budget {fits} inconsistent with spent {spent} vs budget {budget}"
-            ));
-        }
-        require_error_and_qos(row, &what)?;
-    }
-    Ok(baselines.len())
+    let report = SchedReport::from_json(report)?;
+    report.check()?;
+    Ok(report.baselines.len())
 }
-
-/// Top-level keys every `enerj-serveperf/1` report must carry.
-const SERVEPERF_KEYS: [&str; 6] =
-    ["schema", "kill_resume_identical", "identity", "throughput", "first_trial", "config"];
-
-/// Keys the `enerj-serveperf/1` identity section must carry.
-const SERVEPERF_IDENTITY_KEYS: [&str; 5] =
-    ["trials", "bytes", "kill_after_trials", "quanta_total", "quanta_baseline"];
-
-/// Keys the `enerj-serveperf/1` throughput section must carry.
-const SERVEPERF_THROUGHPUT_KEYS: [&str; 5] =
-    ["jobs", "trials_per_job", "wall_seconds", "jobs_per_sec", "trials_per_sec"];
 
 /// Validates a parsed `enerj-serveperf/1` campaign-service report (the
-/// `servebench` binary's output). Checks schema, the kill-resume identity
-/// verdict (servebench refuses to write a report unless the `kill -9` /
-/// restart stream was byte-identical to an uninterrupted run, so a report
-/// carrying `false` is corrupt by construction), the exact integer quanta
-/// in the identity section, and that every rate is finite, positive, and
-/// self-consistent — it does *not* gate on absolute throughput, so the CI
-/// serve-smoke job catches emitter drift without flaking on slow runners.
-/// Returns the throughput-phase job count.
+/// `servebench` binary's output). Returns the throughput-phase job count.
 pub fn validate_serveperf_report(report: &Json) -> Result<usize, String> {
-    let schema =
-        report.get("schema").and_then(Json::as_str).ok_or("report: missing `schema` string")?;
-    if schema != "enerj-serveperf/1" {
-        return Err(format!("report: schema `{schema}`, expected `enerj-serveperf/1`"));
-    }
-    for key in SERVEPERF_KEYS {
-        if report.get(key).is_none() {
-            return Err(format!("report: missing top-level `{key}`"));
-        }
-    }
-    match report.get("kill_resume_identical") {
-        Some(Json::Bool(true)) => {}
-        Some(Json::Bool(false)) => {
-            return Err("report: `kill_resume_identical` is false — the kill-resume \
-                        stream diverged from the uninterrupted run"
-                .to_owned())
-        }
-        _ => return Err("report: missing boolean `kill_resume_identical`".to_owned()),
-    }
-
-    let identity = report.get("identity").expect("checked above");
-    for key in SERVEPERF_IDENTITY_KEYS {
-        if identity.get(key).is_none() {
-            return Err(format!("identity: missing `{key}`"));
-        }
-    }
-    let trials = require_positive(identity, "trials", "identity")?;
-    require_positive(identity, "bytes", "identity")?;
-    let kill_after = require_positive(identity, "kill_after_trials", "identity")?;
-    if kill_after >= trials {
-        return Err(format!(
-            "identity: kill_after_trials {kill_after} >= trials {trials} — \
-             the kill landed after the campaign finished, so nothing was resumed"
-        ));
-    }
-    let total = require_quanta(identity, "quanta_total", "identity")?;
-    let baseline = require_quanta(identity, "quanta_baseline", "identity")?;
-    if total == 0 || baseline == 0 {
-        return Err(format!(
-            "identity: zero quanta (total {total}, baseline {baseline}) — no trials ran"
-        ));
-    }
-
-    let throughput = report.get("throughput").expect("checked above");
-    for key in SERVEPERF_THROUGHPUT_KEYS {
-        if throughput.get(key).is_none() {
-            return Err(format!("throughput: missing `{key}`"));
-        }
-    }
-    let jobs = require_positive(throughput, "jobs", "throughput")?;
-    let per_job = require_positive(throughput, "trials_per_job", "throughput")?;
-    let wall = require_positive(throughput, "wall_seconds", "throughput")?;
-    let jobs_per_sec = require_positive(throughput, "jobs_per_sec", "throughput")?;
-    let trials_per_sec = require_positive(throughput, "trials_per_sec", "throughput")?;
-    let implied_jobs = jobs / wall;
-    if (jobs_per_sec - implied_jobs).abs() > 0.01 * implied_jobs.max(jobs_per_sec) {
-        return Err(format!(
-            "throughput: jobs_per_sec {jobs_per_sec} inconsistent with \
-             {jobs}/{wall} = {implied_jobs:.3}"
-        ));
-    }
-    let implied_trials = jobs * per_job / wall;
-    if (trials_per_sec - implied_trials).abs() > 0.01 * implied_trials.max(trials_per_sec) {
-        return Err(format!(
-            "throughput: trials_per_sec {trials_per_sec} inconsistent with \
-             {jobs}*{per_job}/{wall} = {implied_trials:.3}"
-        ));
-    }
-
-    let first = report.get("first_trial").expect("checked above");
-    require_positive(first, "time_to_first_trial_ms", "first_trial")?;
-
-    let config = report.get("config").expect("checked above");
-    for key in ["workers", "chunk", "runs"] {
-        require_positive(config, key, "config")?;
-    }
-    Ok(jobs as usize)
-}
-
-/// Validates one NDJSON fault-log line (already parsed).
-pub fn validate_fault_event(event: &Json, what: &str) -> Result<(), String> {
-    for key in EVENT_KEYS {
-        if event.get(key).is_none() {
-            return Err(format!("{what}: missing `{key}`"));
-        }
-    }
-    let unit = event
-        .get("unit")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: `unit` must be a string"))?;
-    if FaultKind::from_name(unit).is_none() {
-        return Err(format!("{what}: unknown unit `{unit}`"));
-    }
-    let width = require_number(event, "width", what)?;
-    if !(1.0..=64.0).contains(&width) || width.fract() != 0.0 {
-        return Err(format!("{what}: width {width} not an integer in 1..=64"));
-    }
-    let bits = require_number(event, "bits_flipped", what)?;
-    if bits < 0.0 || bits > width || bits.fract() != 0.0 {
-        return Err(format!("{what}: bits_flipped {bits} not an integer in 0..=width"));
-    }
-    let time = require_number(event, "time", what)?;
-    if time < 0.0 {
-        return Err(format!("{what}: negative time {time}"));
-    }
-    Ok(())
+    let report = ServePerfReport::from_json(report)?;
+    report.check()?;
+    Ok(report.throughput.jobs)
 }
 
 /// Validates a whole NDJSON fault log. Returns the event count. An empty
@@ -757,9 +223,10 @@ pub fn validate_fault_log(text: &str) -> Result<usize, String> {
         if line.is_empty() {
             continue;
         }
-        let what = format!("line {}", lineno + 1);
-        let event = Json::parse(line).map_err(|e| format!("{what}: {e}"))?;
-        validate_fault_event(&event, &what)?;
+        Json::parse(line)
+            .and_then(|event| FaultLogLine::from_json(&event))
+            .and_then(|event| event.check())
+            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
         count += 1;
     }
     Ok(count)
@@ -901,14 +368,12 @@ mod tests {
     }
 
     const HWPERF_OK: &str = r#"{
-        "schema": "enerj-hwperf/2",
+        "schema": "enerj-hwperf/3",
         "quick": true,
-        "kernels": [
-            {"kernel": "sram", "level": "Mild", "ops": 400000,
-             "baseline_ops_per_sec": 50000000.0,
-             "amortized_ops_per_sec": 1500000000.0, "speedup": 30.0}
-        ],
         "batched": [
+            {"kernel": "sram", "level": "Mild", "ops": 393216,
+             "scalar_ops_per_sec": 50000000.0,
+             "batched_ops_per_sec": 1500000000.0, "speedup": 30.0},
             {"kernel": "alu", "level": "Mild", "ops": 397312,
              "scalar_ops_per_sec": 100000000.0,
              "batched_ops_per_sec": 600000000.0, "speedup": 6.0}
@@ -927,7 +392,9 @@ mod tests {
 
     #[test]
     fn hwperf_rejects_drifted_reports() {
-        let wrong_schema = HWPERF_OK.replace("enerj-hwperf/2", "enerj-hwperf/1");
+        // `/2` reports (with the retired per-access `kernels` grid) are
+        // superseded.
+        let wrong_schema = HWPERF_OK.replace("enerj-hwperf/3", "enerj-hwperf/2");
         let v = Json::parse(&wrong_schema).unwrap();
         assert!(validate_hwperf_report(&v).unwrap_err().contains("schema"));
 
@@ -935,26 +402,39 @@ mod tests {
         let v = Json::parse(&no_kernels).unwrap();
         assert!(validate_hwperf_report(&v).unwrap_err().contains("kernel"));
 
+        let bad_kernel = HWPERF_OK.replace("\"kernel\": \"sram\"", "\"kernel\": \"tlb\"");
+        let v = Json::parse(&bad_kernel).unwrap();
+        assert!(validate_hwperf_report(&v).unwrap_err().contains("unknown kernel"));
+
         let bad_level = HWPERF_OK.replacen("\"Mild\"", "\"Extreme\"", 1);
         let v = Json::parse(&bad_level).unwrap();
         assert!(validate_hwperf_report(&v).unwrap_err().contains("unknown level"));
 
-        let zero_rate = HWPERF_OK
-            .replace("\"baseline_ops_per_sec\": 50000000.0", "\"baseline_ops_per_sec\": 0.0");
+        let zero_rate =
+            HWPERF_OK.replace("\"scalar_ops_per_sec\": 50000000.0", "\"scalar_ops_per_sec\": 0.0");
         let v = Json::parse(&zero_rate).unwrap();
         assert!(validate_hwperf_report(&v).unwrap_err().contains("positive"));
 
         let wrong_speedup = HWPERF_OK.replace("\"speedup\": 30.0", "\"speedup\": 2.0");
         let v = Json::parse(&wrong_speedup).unwrap();
         assert!(validate_hwperf_report(&v).unwrap_err().contains("inconsistent"));
+
+        let bad_macro = HWPERF_OK.replace("\"ops_per_sec\": 40000000.0", "\"ops_per_sec\": 0");
+        let v = Json::parse(&bad_macro).unwrap();
+        assert!(validate_hwperf_report(&v).unwrap_err().contains("positive"));
     }
 
     #[test]
     fn hwperf_rejects_bad_batched_rows() {
-        // `/2` reports must carry the batched grid at all.
         let missing = HWPERF_OK.replace("\"batched\"", "\"sliced\"");
         let v = Json::parse(&missing).unwrap();
         assert!(validate_hwperf_report(&v).unwrap_err().contains("batched"));
+
+        let empty = Json::parse(
+            r#"{"schema": "enerj-hwperf/3", "quick": true, "batched": [], "macro": []}"#,
+        )
+        .unwrap();
+        assert!(validate_hwperf_report(&empty).unwrap_err().contains("batched"));
 
         // A serialized `inf` (the unclamped `--quick` denominator bug)
         // parses as a malformed number and must be rejected, as must a
@@ -1017,16 +497,6 @@ mod tests {
         assert!(validate_campaignperf_report(&v).unwrap_err().contains("not bounded"));
     }
 
-    #[test]
-    fn campaignperf_accepts_real_bench_output() {
-        // Shape-check the committed capture, when present.
-        let path = crate::bench_report_path("campaignperf");
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let v = Json::parse(&text).unwrap();
-            assert!(validate_campaignperf_report(&v).unwrap() >= 1);
-        }
-    }
-
     const SCHED_OK: &str = r#"{
         "schema": "enerj-sched/1", "quick": true, "meter": "sram",
         "budget_pct": 60, "trials": 24, "epoch_len": 3,
@@ -1085,7 +555,7 @@ mod tests {
                 fits_budget: true,
             }],
         };
-        let v = Json::parse(&report.to_json()).unwrap();
+        let v = Json::parse(&report.to_json().to_string()).unwrap();
         assert_eq!(validate_sched_report(&v), Ok(1));
     }
 
@@ -1134,16 +604,26 @@ mod tests {
         let wrong_qos = SCHED_OK.replace("\"qos\": 0.96875", "\"qos\": 0.9");
         let v = Json::parse(&wrong_qos).unwrap();
         assert!(validate_sched_report(&v).unwrap_err().contains("inconsistent"));
-    }
 
-    #[test]
-    fn sched_accepts_real_bench_output() {
-        // Shape-check the committed capture, when present.
-        let path = crate::bench_report_path("sched");
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let v = Json::parse(&text).unwrap();
-            assert!(validate_sched_report(&v).unwrap() >= 1);
-        }
+        // Hostile quanta are an error, not an overflow panic (debug) or a
+        // silent wrap (release): the budget product overflows u128 ...
+        let huge_cost = SCHED_OK.replace(
+            "\"precise_cost_quanta\": 1000000000000",
+            "\"precise_cost_quanta\": 170141183460469231731687303715884105727",
+        );
+        let v = Json::parse(&huge_cost).unwrap();
+        assert!(validate_sched_report(&v).unwrap_err().contains("overflows"));
+        // ... and so does the level census.
+        let huge_census = SCHED_OK
+            .replace("\"Precise\": 6", "\"Precise\": 18446744073709551615")
+            .replace("\"Mild\": 9", "\"Mild\": 18446744073709551615");
+        let v = Json::parse(&huge_census).unwrap();
+        assert!(validate_sched_report(&v).unwrap_err().contains("overflow"));
+        // A count beyond u64 is no count at all.
+        let wide_count = SCHED_OK
+            .replace("\"Precise\": 6", "\"Precise\": 170141183460469231731687303715884105727");
+        let v = Json::parse(&wide_count).unwrap();
+        assert!(validate_sched_report(&v).unwrap_err().contains("level_counts.Precise"));
     }
 
     /// A structurally valid `enerj-serveperf/1` report (matches the
@@ -1200,16 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn serveperf_accepts_real_bench_output() {
-        // Shape-check the committed capture, when present.
-        let path = crate::bench_report_path("serveperf");
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let v = Json::parse(&text).unwrap();
-            assert!(validate_serveperf_report(&v).unwrap() >= 1);
-        }
-    }
-
-    #[test]
     fn rejects_bad_fault_log_lines() {
         assert!(validate_fault_log("not json\n").is_err());
         let missing = r#"{"trial":0,"app":"X","label":"L","seed":1,"time":0.0,"unit":"int-timing","width":64}"#;
@@ -1217,7 +687,28 @@ mod tests {
         let bad_unit = r#"{"trial":0,"app":"X","label":"L","seed":1,"time":0.0,"unit":"warp-core","width":64,"bits_flipped":1}"#;
         assert!(validate_fault_log(bad_unit).unwrap_err().contains("unknown unit"));
         let bits_over_width = r#"{"trial":0,"app":"X","label":"L","seed":1,"time":0.0,"unit":"int-timing","width":8,"bits_flipped":9}"#;
-        assert!(validate_fault_log(bits_over_width).is_err());
+        assert!(validate_fault_log(bits_over_width).unwrap_err().contains("exceeds width"));
+        let zero_width = bits_over_width.replace("\"width\":8", "\"width\":0");
+        assert!(validate_fault_log(&zero_width).unwrap_err().contains("width"));
+        let wide = bits_over_width.replace("\"width\":8", "\"width\":65");
+        assert!(validate_fault_log(&wide).unwrap_err().contains("width"));
+        let past = bad_unit.replace("warp-core", "int-timing").replace("0.0", "-1.5");
+        assert!(validate_fault_log(&past).unwrap_err().contains("negative time"));
         assert_eq!(validate_fault_log(""), Ok(0));
+    }
+
+    #[test]
+    fn attempt_ledger_is_exact() {
+        // Clean: no causes, one attempt. Recovered: one more attempt than
+        // causes. Degraded: as many attempts as causes.
+        assert!(check_attempt_ledger(1, 0, false).is_ok());
+        assert!(check_attempt_ledger(3, 2, true).is_ok());
+        assert!(check_attempt_ledger(2, 2, false).is_ok());
+        for (attempts, causes, recovered) in
+            [(0, 0, false), (2, 0, false), (2, 2, true), (3, 2, false), (1, 1, true)]
+        {
+            let err = check_attempt_ledger(attempts, causes, recovered).unwrap_err();
+            assert!(err.contains(&format!("inconsistent with {attempts} attempts")), "{err}");
+        }
     }
 }

@@ -90,13 +90,28 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn sched_report_json_matches_the_v1_golden() {
-    let json = synthetic_report().to_json();
+    let json = synthetic_report().to_json().to_string();
     assert!(json.starts_with("{\"schema\":\"enerj-sched/1\""));
     check_golden("sched_v1.json", &(json + "\n"));
 }
 
 #[test]
 fn the_golden_fixture_passes_its_own_validator() {
-    let parsed = Json::parse(&synthetic_report().to_json()).expect("serializer output parses");
+    let parsed =
+        Json::parse(&synthetic_report().to_json().to_string()).expect("serializer output parses");
     assert_eq!(validate_sched_report(&parsed), Ok(4));
+}
+
+#[test]
+fn the_golden_survives_the_typed_round_trip() {
+    // Read into `SchedReport` and written back, the committed golden comes
+    // out byte for byte: the reader and the writer are one definition.
+    let golden = std::fs::read_to_string(golden_path("sched_v1.json")).unwrap();
+    let report = SchedReport::from_json(&Json::parse(&golden).unwrap()).unwrap();
+    assert_eq!(report.to_json().to_string() + "\n", golden);
+    // And the typed round trip is a fixed point.
+    let json = synthetic_report().to_json();
+    let back = SchedReport::from_json(&json).unwrap();
+    back.check().unwrap();
+    assert_eq!(back.to_json(), json);
 }

@@ -1,9 +1,11 @@
-//! Virtual time.
+//! Watchdog trips of the virtual clock.
 //!
-//! DRAM decay and byte-second storage accounting both need a notion of
-//! elapsed time. Wall-clock time would make simulations nondeterministic, so
-//! the simulator advances a virtual clock by a fixed amount per simulated
-//! event (see [`HwConfig::seconds_per_op`](crate::config::HwConfig)).
+//! DRAM decay and storage accounting need a notion of elapsed time, and
+//! wall-clock time would make simulations nondeterministic, so the
+//! simulator's clock is an integer op-tick counter on
+//! [`Hardware`](crate::Hardware), advanced once per simulated operation.
+//! This module holds what a watchdog armed on that clock needs: the trip
+//! payload and the hook that keeps expected trips quiet.
 
 use std::fmt;
 use std::panic::PanicHookInfo;
@@ -50,62 +52,4 @@ pub fn silence_watchdog_panics() {
             }
         }));
     });
-}
-
-/// A deterministic virtual clock counting simulated seconds.
-///
-/// # Examples
-///
-/// ```
-/// use enerj_hw::clock::SimClock;
-///
-/// let mut clock = SimClock::new();
-/// clock.advance(1e-6);
-/// clock.advance(2e-6);
-/// assert!((clock.now() - 3e-6).abs() < 1e-18);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimClock {
-    now: f64,
-}
-
-impl SimClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// Current simulated time in seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advances the clock by `dt` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `dt` is negative or not finite.
-    pub fn advance(&mut self, dt: f64) {
-        debug_assert!(dt.is_finite() && dt >= 0.0, "bad clock increment {dt}");
-        self.now += dt;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn starts_at_zero() {
-        assert_eq!(SimClock::new().now(), 0.0);
-    }
-
-    #[test]
-    fn accumulates_increments() {
-        let mut c = SimClock::new();
-        for _ in 0..1000 {
-            c.advance(1e-6);
-        }
-        assert!((c.now() - 1e-3).abs() < 1e-12);
-    }
 }

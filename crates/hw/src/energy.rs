@@ -330,8 +330,16 @@ mod tests {
             s.record_op(OpKind::Fp, true);
             s.record_op(OpKind::Int, true);
         }
-        s.record_storage(MemKind::Sram, true, 1000.0, 1.0);
-        s.record_storage(MemKind::Dram, true, 1000.0, 1.0);
+        s.record_storage_quanta(
+            MemKind::Sram,
+            true,
+            EnergyQuanta::from_bits_quanta(8000, 1_000_000),
+        );
+        s.record_storage_quanta(
+            MemKind::Dram,
+            true,
+            EnergyQuanta::from_bits_quanta(8000, 1_000_000),
+        );
         s
     }
 
@@ -341,8 +349,16 @@ mod tests {
             s.record_op(OpKind::Fp, false);
             s.record_op(OpKind::Int, false);
         }
-        s.record_storage(MemKind::Sram, false, 1000.0, 1.0);
-        s.record_storage(MemKind::Dram, false, 1000.0, 1.0);
+        s.record_storage_quanta(
+            MemKind::Sram,
+            false,
+            EnergyQuanta::from_bits_quanta(8000, 1_000_000),
+        );
+        s.record_storage_quanta(
+            MemKind::Dram,
+            false,
+            EnergyQuanta::from_bits_quanta(8000, 1_000_000),
+        );
         s
     }
 
@@ -432,7 +448,11 @@ mod tests {
     fn mobile_split_weights_cpu_more() {
         let mut s = Stats::new();
         // Only DRAM is approximate; in the mobile split that matters less.
-        s.record_storage(MemKind::Dram, true, 100.0, 1.0);
+        s.record_storage_quanta(
+            MemKind::Dram,
+            true,
+            EnergyQuanta::from_bits_quanta(800, 1_000_000),
+        );
         for _ in 0..100 {
             s.record_op(OpKind::Int, false);
         }

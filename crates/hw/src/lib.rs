@@ -16,7 +16,7 @@
 //! * [`config`] — Table 2 parameter bundles (Mild/Medium/Aggressive),
 //!   strategy masks for ablations, and functional-unit error modes.
 //! * [`fault`] — bit-level fault injection primitives.
-//! * [`clock`] — the deterministic virtual clock.
+//! * [`clock`] — watchdog trips of the deterministic op-tick clock.
 //! * [`stats`] — operation and byte-second accounting (Figure 3).
 //! * [`layout`] — cache-line-granularity layout of approximate data (§4.1).
 //! * [`alu`], [`fpu`] — imprecise functional units (§4.2).

@@ -19,7 +19,8 @@
 //! 3. **Time-to-first-trial.** Submits one job and measures submit → first
 //!    streamed NDJSON line.
 //!
-//! Writes `results/BENCH_serveperf.json` (schema `enerj-serveperf/1`).
+//! Writes `results/BENCH_serveperf.json` (schema `enerj-serveperf/1`,
+//! [`ServePerfReport`]).
 
 use std::fs;
 use std::io::{BufRead, BufReader};
@@ -28,6 +29,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use enerj_serve::client::{Client, Submitted};
+use enerj_serve::serveperf::{BenchConfig, Identity, ServePerfReport, Throughput};
 
 struct Daemon {
     child: Child,
@@ -237,26 +239,29 @@ fn main() {
     // ---------------------------------------------------------------
     // Report
     // ---------------------------------------------------------------
-    let report = format!(
-        "{{\n  \"schema\": \"enerj-serveperf/1\",\n  \"kill_resume_identical\": true,\n  \
-         \"identity\": {{\"trials\": {trials_per_job}, \"bytes\": {}, \
-         \"kill_after_trials\": {kill_after}, \"quanta_total\": {}, \"quanta_baseline\": {}}},\n  \
-         \"throughput\": {{\"jobs\": {jobs}, \"trials_per_job\": {trials_per_job}, \
-         \"wall_seconds\": {:.6}, \"jobs_per_sec\": {:.3}, \"trials_per_sec\": {:.3}}},\n  \
-         \"first_trial\": {{\"time_to_first_trial_ms\": {:.3}}},\n  \
-         \"config\": {{\"workers\": {workers}, \"chunk\": {chunk}, \"runs\": {runs}}}\n}}\n",
-        clean_bytes.len(),
-        clean_quanta.0,
-        clean_quanta.1,
-        thr_wall.as_secs_f64(),
-        jobs_per_sec,
-        trials_per_sec,
-        ttft.as_secs_f64() * 1e3,
-    );
+    let report = ServePerfReport {
+        kill_resume_identical: true,
+        identity: Identity {
+            trials: trials_per_job,
+            bytes: clean_bytes.len(),
+            kill_after_trials: kill_after,
+            quanta_total: clean_quanta.0,
+            quanta_baseline: clean_quanta.1,
+        },
+        throughput: Throughput {
+            jobs,
+            trials_per_job,
+            wall_seconds: thr_wall.as_secs_f64(),
+            jobs_per_sec,
+            trials_per_sec,
+        },
+        time_to_first_trial_ms: ttft.as_secs_f64() * 1e3,
+        config: BenchConfig { workers, chunk, runs },
+    };
     if let Some(parent) = out.parent() {
         fs::create_dir_all(parent).expect("results dir");
     }
-    fs::write(&out, &report).expect("write report");
+    fs::write(&out, report.to_json().to_string() + "\n").expect("write report");
     println!(
         "servebench: {jobs_per_sec:.2} jobs/s, {trials_per_sec:.1} trials/s, \
          first trial in {:.1} ms (report: {})",

@@ -29,11 +29,12 @@
 //!
 //! Binaries: `campaignd` (the server), `campaignctl` (submit / status /
 //! stream / shutdown), `servebench` (throughput + time-to-first-trial,
-//! gated on kill-resume byte-identity).
+//! gated on kill-resume byte-identity; its report is [`serveperf`]).
 
 pub mod client;
 pub mod http;
 pub mod journal;
+pub mod serveperf;
 pub mod server;
 pub mod spec;
 pub mod tenant;

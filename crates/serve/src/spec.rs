@@ -171,9 +171,16 @@ impl JobSpec {
         };
         let runs = doc
             .get("runs")
-            .and_then(|r| r.as_i128())
+            .and_then(|r| r.as_u128())
             .filter(|&r| r > 0)
-            .ok_or("spec needs a positive integer `runs` field")? as u64;
+            .and_then(|r| u64::try_from(r).ok())
+            .ok_or("spec needs a positive integer `runs` field no larger than 2^64 - 1")?;
+        // `total_trials` multiplies unchecked; refuse a campaign whose
+        // trial count does not fit.
+        usize::try_from(runs)
+            .ok()
+            .and_then(|r| r.checked_mul(apps.len())?.checked_mul(levels.len()))
+            .ok_or("apps x levels x runs overflows the trial count")?;
         let recovery = match doc.get("recovery") {
             None => false,
             Some(Json::Bool(b)) => *b,
@@ -367,6 +374,24 @@ mod tests {
             assert!(JobSpec::parse(&bad).is_err(), "{needle} must be rejected");
         }
         assert!(JobSpec::parse("not json").is_err());
+    }
+
+    #[test]
+    fn rejects_runs_that_truncate_or_overflow_the_trial_count() {
+        // 2^64 + 1 used to be cast to 1 and persisted that way.
+        let wide = minimal().replace("\"runs\":4", "\"runs\":18446744073709551617");
+        let err = JobSpec::parse(&wide).unwrap_err();
+        assert!(err.contains("`runs`"), "{err}");
+        // 2 apps x 2 levels x (2^63 - 1) runs overflows `total_trials`.
+        let huge = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"tenant\":\"t1\",\"apps\":[\"MonteCarlo\",\"FFT\"],\
+             \"levels\":[\"Mild\",\"Medium\"],\"runs\":9223372036854775807}}"
+        );
+        let err = JobSpec::parse(&huge).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        // The largest runs that fit one app and level still parse.
+        let one = minimal().replace("\"runs\":4", "\"runs\":9223372036854775807");
+        assert_eq!(JobSpec::parse(&one).unwrap().total_trials(), 9_223_372_036_854_775_807);
     }
 
     #[test]

@@ -420,6 +420,8 @@ fn bad_specs_are_rejected_with_typed_errors() {
         "{\"schema\":\"enerj-serve/2\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":1}",
         "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"Nope\"],\"levels\":[\"Mild\"],\"runs\":1}",
         "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":0}",
+        "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\"],\"levels\":[\"Mild\"],\"runs\":18446744073709551617}",
+        "{\"schema\":\"enerj-serve/1\",\"tenant\":\"t\",\"apps\":[\"MonteCarlo\",\"FFT\"],\"levels\":[\"Mild\",\"Medium\"],\"runs\":9223372036854775807}",
     ] {
         match client.submit(bad).expect("submit") {
             Submitted::Rejected { status, error, retriable, .. } => {

@@ -3,6 +3,7 @@
 use enerj::core::{endorse, Approx, ApproxPrim, ApproxVec, Runtime};
 use enerj::hw::config::{ApproxParams, HwConfig, Level, StrategyMask};
 use enerj::hw::energy::normalized_energy;
+use enerj::hw::quanta::EnergyQuanta;
 use enerj::hw::stats::{MemKind, OpKind, Stats};
 use enerj::hw::{fault, layout};
 use proptest::prelude::*;
@@ -142,10 +143,12 @@ proptest! {
         s.int_precise_ops = int_p;
         s.fp_approx_ops = fp_a;
         s.fp_precise_ops = fp_p;
-        s.record_storage(MemKind::Sram, true, sram_a, 1.0);
-        s.record_storage(MemKind::Sram, false, sram_p, 1.0);
-        s.record_storage(MemKind::Dram, true, dram_a, 1.0);
-        s.record_storage(MemKind::Dram, false, dram_p, 1.0);
+        // `bytes` held for one simulated second at 1 us per op-tick.
+        let held = |bytes: f64| EnergyQuanta::new((bytes * 8.0 * 1e6).round() as u128);
+        s.record_storage_quanta(MemKind::Sram, true, held(sram_a));
+        s.record_storage_quanta(MemKind::Sram, false, held(sram_p));
+        s.record_storage_quanta(MemKind::Dram, true, held(dram_a));
+        s.record_storage_quanta(MemKind::Dram, false, held(dram_p));
         let mut last = 0.0f64;
         for params in [ApproxParams::MILD, ApproxParams::MEDIUM, ApproxParams::AGGRESSIVE] {
             let e = normalized_energy(&s, &params);
